@@ -4,10 +4,11 @@
 //
 // Predictors are speculative state machines: Predict is called at fetch
 // with the current speculative history, Update is called at branch
-// resolution with the true outcome. Because the simulator fetches down
-// the correct path (wrong-path fetch is modelled as a stall, see
-// DESIGN.md), speculative history equals committed history except across
-// rollbacks, which restore it via HistorySnapshot/RestoreHistory.
+// resolution with the true outcome. Because wrong-path instructions
+// never consult the predictor (the core synthesises them and neutralises
+// their branches, see README Architecture), speculative history equals
+// committed history except across rollbacks, which restore it via
+// HistorySnapshot/RestoreHistory.
 package branch
 
 import "fmt"

@@ -319,22 +319,31 @@ func WarmDonor(key mem.WarmKey, tr *trace.Trace) (*mem.Hierarchy, error) {
 // warmHierarchy replays the trace's cache warm-up footprint plus the
 // wrong-path fetch region through h. Cold construction and donor
 // warming share this exact sequence; determinism of the snapshot-fork
-// kernel depends on it.
+// kernel depends on it. Cold misses are an artefact of short runs (see
+// mem.Hierarchy.PrimeFetch); the footprint is computed once per trace
+// and shared across every CPU built over it (trace.WarmFootprint).
 func warmHierarchy(h *mem.Hierarchy, tr *trace.Trace) {
-	// Warm the instruction path and the data caches: cold misses are an
-	// artefact of short runs (see mem.Hierarchy.PrimeFetch). The
-	// footprint — first-seen IL1 lines interleaved with the data stream
-	// — is precomputed once per trace and shared across every CPU built
-	// over it (trace.WarmFootprint).
 	for _, ev := range tr.WarmFootprint() {
-		if ev.Fetch {
-			h.PrimeFetch(ev.Addr)
-		} else {
-			h.WarmData(ev.Addr)
-		}
+		warmEvent(h, ev)
 	}
-	for pc := uint64(0xF0000000); pc < 0xF0000000+64*4; pc += 32 {
-		h.PrimeFetch(pc) // wrong-path region
+	primeWrongPath(h)
+}
+
+// warmEvent replays one warm-up event through h.
+func warmEvent(h *mem.Hierarchy, ev trace.WarmEvent) {
+	if ev.Fetch {
+		h.PrimeFetch(ev.Addr)
+	} else {
+		h.WarmData(ev.Addr)
+	}
+}
+
+// primeWrongPath primes the IL1 lines of the synthetic wrong-path PC
+// region (see nextWrongPathInst): the last step of every warm-up, cold,
+// donor or sampled.
+func primeWrongPath(h *mem.Hierarchy) {
+	for pc := uint64(wrongPathBase); pc < wrongPathBase+wrongPathInsts*4; pc += trace.WarmLineBytes {
+		h.PrimeFetch(pc)
 	}
 }
 

@@ -210,7 +210,7 @@ func (c *CPU) tryDispatch(inst isa.Inst, pos int64, wrongPath bool) bool {
 	}
 
 	// Branch prediction happens at fetch; history and counters are
-	// trained immediately (see DESIGN.md for the modelling argument).
+	// trained immediately (see README Architecture).
 	// A branch whose misprediction already caused a checkpoint rollback
 	// is known-resolved on its replay: the recovery state carries its
 	// direction, which also guarantees forward progress when gshare
@@ -291,6 +291,13 @@ func (c *CPU) setWrongPathStart(pc uint64) {
 	c.wpBase = c.wpCounter
 }
 
+// Synthetic wrong-path instructions live in their own PC region of
+// wrongPathInsts instructions at wrongPathBase.
+const (
+	wrongPathBase  = 0xF0000000
+	wrongPathInsts = 64
+)
+
 // nextWrongPathInst fetches an instruction for the wrong path after a
 // mispredicted branch. Program-backed traces fetch the real static
 // instructions at the mispredicted target (side-effecting classes are
@@ -299,7 +306,7 @@ func (c *CPU) setWrongPathStart(pc uint64) {
 // path would really compute). Synthetic traces synthesise a
 // deterministic mix of ALU, FP and load operations. Either way the
 // stream consumes rename, queue, functional-unit and memory bandwidth
-// until the branch resolves (see DESIGN.md §3).
+// until the branch resolves (see README Architecture).
 func (c *CPU) nextWrongPathInst() isa.Inst {
 	k := c.wpCounter
 	c.wpCounter++
@@ -311,8 +318,7 @@ func (c *CPU) nextWrongPathInst() isa.Inst {
 		}
 		return in
 	}
-	// Wrong-path instructions live in their own PC region.
-	pc := uint64(0xF0000000) + (k%64)*4
+	pc := wrongPathBase + (k%wrongPathInsts)*4
 	switch k % 8 {
 	case 0:
 		// A wrong-path load polluting lines near recent traffic.

@@ -9,7 +9,7 @@ import (
 )
 
 // The ablation studies go beyond the paper's figures and probe the
-// design choices DESIGN.md calls out — including the checkpoint-taking
+// design choices the README Architecture section calls out — including the checkpoint-taking
 // strategies the paper defers to future work ("we expect to analyze a
 // whole set of different strategies as to when checkpoints should be
 // taken").

@@ -303,6 +303,9 @@ func TestFleetSingleflightAcrossBatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit 2: %v", err)
 	}
+	// Submit dispatches asynchronously: the follower must have joined
+	// the leader's flight before the leader is allowed to land.
+	waitFor(t, func() bool { return coord.metrics.PointsDeduped.Load() == 1 })
 
 	close(fake.release)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -6,14 +6,16 @@ import (
 	"repro/internal/isa"
 )
 
-// Streamer is the incremental form of BuildTrace: it functionally
-// executes a program chunk by chunk, emitting the same mapped pipeline
-// stream element-for-element without ever materialising it whole. It is
-// the program-side producer of the trace layer's segment streams, which
-// is what lifts the materialisation cap for sampled runs.
+// Streamer functionally executes a program chunk by chunk, emitting its
+// mapped pipeline stream (see microOp) without ever materialising
+// it whole. It is the program-side producer of the trace layer's
+// segment streams: materialised program traces drain it to the halt,
+// and sampled runs read it window by window past the materialisation
+// cap.
 type Streamer struct {
 	m       *Machine
 	name    string
+	ops     []isa.Inst // mapText(p): the micro-op skeleton of each text word
 	emitted int
 }
 
@@ -23,7 +25,7 @@ func NewStreamer(p *Program) (*Streamer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Streamer{m: m, name: p.Name}, nil
+	return &Streamer{m: m, name: p.Name, ops: mapText(p)}, nil
 }
 
 // Halted reports whether the program has run to completion; Emit
@@ -32,9 +34,7 @@ func (s *Streamer) Halted() bool { return s.m.halted }
 
 // Emit appends the mapped pipeline instructions of up to one execution
 // chunk (a few thousand retired RV32 instructions) to dst and returns
-// the extended slice. Looping Emit to halt yields exactly BuildTrace's
-// stream: both drive Machine.Step through appendMapped in retirement
-// order.
+// the extended slice, in retirement order.
 func (s *Streamer) Emit(dst []isa.Inst) ([]isa.Inst, error) {
 	const chunk = 4096
 	before := len(dst)
@@ -43,7 +43,7 @@ func (s *Streamer) Emit(dst []isa.Inst) ([]isa.Inst, error) {
 		if err != nil {
 			return dst, err
 		}
-		if dst, err = appendMapped(dst, r); err != nil {
+		if dst, err = s.appendMapped(dst, r); err != nil {
 			return dst, fmt.Errorf("rv32: %q: %w", s.name, err)
 		}
 	}

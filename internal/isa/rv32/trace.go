@@ -7,9 +7,11 @@ import (
 )
 
 // This file is the bridge between the architectural tier and the timing
-// tier: BuildTrace functionally executes a Program and maps every
-// retired RV32 instruction onto the pipeline's operation classes with
-// real PCs, branch outcomes and targets, and effective addresses.
+// tier: microOp maps an RV32 instruction onto the pipeline's operation
+// classes, once per text word (mapText); appendMapped (through
+// Streamer) fills in the dynamic facts of every retired instruction —
+// effective addresses, branch outcomes and targets — and Image holds
+// the static text for the wrong-path model.
 //
 // The mapping:
 //
@@ -33,117 +35,119 @@ import (
 // reg maps an RV32 register number onto the pipeline's integer class.
 func reg(n uint8) isa.Reg { return isa.IntReg(int(n)) }
 
-// aluClass maps a computational RV32 op onto its functional-unit class.
-func aluClass(op Op) isa.Op {
-	switch op {
-	case MUL, MULH, MULHSU, MULHU:
-		return isa.IntMul
-	case DIV, DIVU, REM, REMU:
-		return isa.IntDiv
-	default:
-		return isa.IntAlu
-	}
+// opForm is how one RV32 op maps onto a pipeline micro-op: its
+// operation class (Nop: no pipeline form) and the operand fields it
+// reads, as form* bits.
+type opForm struct {
+	class isa.Op
+	bits  uint8
 }
 
-// appendMapped appends the pipeline instruction(s) for one retired RV32
-// instruction.
-func appendMapped(out []isa.Inst, r Retired) ([]isa.Inst, error) {
-	pc := uint64(r.PC)
+const (
+	formRd   = 1 << iota // Dest from rd (a write to x0 makes the op a Nop)
+	formRs1              // Src1 from rs1
+	formRs2              // Src2 from rs2
+	formJump             // always taken
+)
+
+// opForms is the one RV32 classification table (see microOp).
+var opForms = func() (t [numOps]opForm) {
+	set := func(class isa.Op, bits uint8, ops ...Op) {
+		for _, op := range ops {
+			t[op] = opForm{class, bits}
+		}
+	}
+	set(isa.IntAlu, formRd, LUI, AUIPC)
+	set(isa.IntAlu, formRd|formRs1, ADDI, SLTI, SLTIU, XORI, ORI, ANDI, SLLI, SRLI, SRAI)
+	set(isa.IntAlu, formRd|formRs1|formRs2, ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND)
+	set(isa.IntMul, formRd|formRs1|formRs2, MUL, MULH, MULHSU, MULHU)
+	set(isa.IntDiv, formRd|formRs1|formRs2, DIV, DIVU, REM, REMU)
+	set(isa.Load, formRd|formRs1, LB, LH, LW, LBU, LHU)
+	set(isa.Store, formRs1|formRs2, SB, SH, SW)
+	set(isa.Branch, formRs1|formRs2, BEQ, BNE, BLT, BGE, BLTU, BGEU)
+	set(isa.Branch, formJump, JAL)
+	set(isa.Branch, formJump|formRs1, JALR)
+	return t
+}()
+
+// nop is the pipeline no-op at pc.
+func nop(pc uint64) isa.Inst {
+	return isa.Inst{Op: isa.Nop, Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, PC: pc}
+}
+
+// microOp is the one RV32 classification: the pipeline operation class
+// and register operands of d at pc. Addresses, branch outcomes and
+// targets are dynamic and left zero, except that jumps are always
+// taken; JAL/JALR map to their branch half (appendMapped adds the link
+// write). Writes to x0 and ops with no pipeline form (EBREAK, ECALL)
+// map to a Nop; a load into x0 keeps Dest x0 for the callers to reject.
+func microOp(d Decoded, pc uint64) isa.Inst {
+	f := opForms[d.Op]
+	in := nop(pc)
+	if f.class == isa.Nop || f.bits&formRd != 0 && d.Rd == 0 && f.class != isa.Load {
+		return in
+	}
+	in.Op, in.Taken = f.class, f.bits&formJump != 0
+	if f.bits&formRd != 0 {
+		in.Dest = reg(d.Rd)
+	}
+	if f.bits&formRs1 != 0 {
+		in.Src1 = reg(d.Rs1)
+	}
+	if f.bits&formRs2 != 0 {
+		in.Src2 = reg(d.Rs2)
+	}
+	return in
+}
+
+// mapText classifies every word of p's text once (undecodable words map
+// to a Nop): the per-PC skeletons the Streamer completes with each
+// retired instruction's dynamic facts, and the Image neutralises for
+// the wrong path.
+func mapText(p *Program) []isa.Inst {
+	ops := make([]isa.Inst, len(p.Text))
+	for i, w := range p.Text {
+		pc := uint64(TextBase) + uint64(i)*4
+		ops[i] = nop(pc)
+		if d, err := Decode(w); err == nil {
+			ops[i] = microOp(d, pc)
+		}
+	}
+	return ops
+}
+
+// appendMapped completes the micro-op skeleton of r's text word with
+// r's dynamic facts and appends it to out, after the link write of a
+// jump-and-link.
+func (s *Streamer) appendMapped(out []isa.Inst, r Retired) ([]isa.Inst, error) {
 	d := r.D
-	nop := isa.Inst{Op: isa.Nop, Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, PC: pc}
-	switch d.Op {
-	case LUI, AUIPC:
-		if d.Rd == 0 {
-			return append(out, nop), nil
-		}
-		return append(out, isa.Inst{
-			Op: isa.IntAlu, Dest: reg(d.Rd), Src1: isa.RegNone, Src2: isa.RegNone, PC: pc,
-		}), nil
-	case ADDI, SLTI, SLTIU, XORI, ORI, ANDI, SLLI, SRLI, SRAI:
-		if d.Rd == 0 {
-			return append(out, nop), nil
-		}
-		return append(out, isa.Inst{
-			Op: isa.IntAlu, Dest: reg(d.Rd), Src1: reg(d.Rs1), Src2: isa.RegNone, PC: pc,
-		}), nil
-	case ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
-		MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU:
-		if d.Rd == 0 {
-			return append(out, nop), nil
-		}
-		return append(out, isa.Inst{
-			Op: aluClass(d.Op), Dest: reg(d.Rd), Src1: reg(d.Rs1), Src2: reg(d.Rs2), PC: pc,
-		}), nil
-	case LB, LH, LW, LBU, LHU:
+	in := s.ops[(r.PC-TextBase)/4]
+	switch {
+	case d.Op == EBREAK:
+		return out, nil // the halt itself does not enter the pipeline
+	case opForms[d.Op].class == isa.Nop:
+		return nil, fmt.Errorf("rv32: pc=%#x: unmappable op %v", r.PC, d.Op)
+	}
+	switch in.Op {
+	case isa.Load:
 		if d.Rd == 0 {
 			return nil, fmt.Errorf("rv32: pc=%#x: load into x0 cannot be mapped", r.PC)
 		}
-		return append(out, isa.Inst{
-			Op: isa.Load, Dest: reg(d.Rd), Src1: reg(d.Rs1), Src2: isa.RegNone,
-			Addr: uint64(r.Addr), PC: pc,
-		}), nil
-	case SB, SH, SW:
-		return append(out, isa.Inst{
-			Op: isa.Store, Dest: isa.RegNone, Src1: reg(d.Rs1), Src2: reg(d.Rs2),
-			Addr: uint64(r.Addr), PC: pc,
-		}), nil
-	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
-		return append(out, isa.Inst{
-			Op: isa.Branch, Dest: isa.RegNone, Src1: reg(d.Rs1), Src2: reg(d.Rs2),
-			PC: pc, Taken: r.Taken, Target: uint64(r.Target),
-		}), nil
-	case JAL, JALR:
-		if d.Rd != 0 {
+		in.Addr = uint64(r.Addr)
+	case isa.Store:
+		in.Addr = uint64(r.Addr)
+	case isa.Branch:
+		in.Target = uint64(r.Target)
+		switch {
+		case d.Op != JAL && d.Op != JALR:
+			in.Taken = r.Taken
+		case d.Rd != 0:
 			out = append(out, isa.Inst{
-				Op: isa.IntAlu, Dest: reg(d.Rd), Src1: isa.RegNone, Src2: isa.RegNone, PC: pc,
+				Op: isa.IntAlu, Dest: reg(d.Rd), Src1: isa.RegNone, Src2: isa.RegNone, PC: in.PC,
 			})
 		}
-		src := isa.RegNone
-		if d.Op == JALR {
-			src = reg(d.Rs1)
-		}
-		return append(out, isa.Inst{
-			Op: isa.Branch, Dest: isa.RegNone, Src1: src, Src2: isa.RegNone,
-			PC: pc, Taken: true, Target: uint64(r.Target),
-		}), nil
-	case EBREAK:
-		return out, nil // the halt itself does not enter the pipeline
-	default:
-		return nil, fmt.Errorf("rv32: pc=%#x: unmappable op %v", r.PC, d.Op)
 	}
-}
-
-// BuildTrace functionally executes p to completion and returns its
-// dynamic pipeline-instruction stream together with the static code
-// Image used by the wrong-path fetch model. The program must halt
-// within maxInsts mapped instructions — the dynamic length is a
-// property of the program, not a caller-supplied budget.
-func BuildTrace(p *Program, maxInsts int) ([]isa.Inst, *Image, error) {
-	m, err := NewMachine(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]isa.Inst, 0, 4096)
-	for !m.halted {
-		if len(out) >= maxInsts {
-			return nil, nil, fmt.Errorf("rv32: %q exceeds %d dynamic instructions without halting", p.Name, maxInsts)
-		}
-		r, err := m.Step()
-		if err != nil {
-			return nil, nil, err
-		}
-		if out, err = appendMapped(out, r); err != nil {
-			return nil, nil, fmt.Errorf("rv32: %q: %w", p.Name, err)
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil, fmt.Errorf("rv32: %q produced an empty stream", p.Name)
-	}
-	img, err := NewImage(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, img, nil
+	return append(out, in), nil
 }
 
 // Image is the static pipeline view of a program's text, one mapped
@@ -164,46 +168,13 @@ func NewImage(p *Program) (*Image, error) {
 	if len(p.Text) == 0 {
 		return nil, fmt.Errorf("rv32: program %q has no text", p.Name)
 	}
-	img := &Image{base: uint64(TextBase), code: make([]isa.Inst, len(p.Text))}
-	for i, w := range p.Text {
-		pc := img.base + uint64(i)*4
-		nop := isa.Inst{Op: isa.Nop, Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, PC: pc}
-		d, err := Decode(w)
-		if err != nil {
-			img.code[i] = nop
-			continue
-		}
-		switch d.Op {
-		case LUI, AUIPC:
-			if d.Rd == 0 {
-				img.code[i] = nop
-				break
-			}
-			img.code[i] = isa.Inst{Op: isa.IntAlu, Dest: reg(d.Rd), Src1: isa.RegNone, Src2: isa.RegNone, PC: pc}
-		case ADDI, SLTI, SLTIU, XORI, ORI, ANDI, SLLI, SRLI, SRAI:
-			if d.Rd == 0 {
-				img.code[i] = nop
-				break
-			}
-			img.code[i] = isa.Inst{Op: isa.IntAlu, Dest: reg(d.Rd), Src1: reg(d.Rs1), Src2: isa.RegNone, PC: pc}
-		case ADD, SUB, SLL, SLT, SLTU, XOR, SRL, SRA, OR, AND,
-			MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU:
-			if d.Rd == 0 {
-				img.code[i] = nop
-				break
-			}
-			img.code[i] = isa.Inst{Op: aluClass(d.Op), Dest: reg(d.Rd), Src1: reg(d.Rs1), Src2: reg(d.Rs2), PC: pc}
-		case LB, LH, LW, LBU, LHU:
-			if d.Rd == 0 {
-				img.code[i] = nop
-				break
-			}
-			img.code[i] = isa.Inst{Op: isa.Load, Dest: reg(d.Rd), Src1: reg(d.Rs1), Src2: isa.RegNone, PC: pc}
-		default:
-			img.code[i] = nop
+	code := mapText(p)
+	for i, in := range code {
+		if in.Op == isa.Store || in.Op == isa.Branch || in.Op == isa.Load && in.Dest == reg(0) {
+			code[i] = nop(in.PC)
 		}
 	}
-	return img, nil
+	return &Image{base: uint64(TextBase), code: code}, nil
 }
 
 // Len returns the number of static instructions.

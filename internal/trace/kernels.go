@@ -1,13 +1,16 @@
 package trace
 
-import "repro/internal/isa"
+import (
+	"fmt"
+
+	"repro/internal/isa"
+)
 
 // iterSource emits one loop iteration of a kernel per call. Kernel
 // instances own disjoint register windows and address regions so they
 // can be interleaved without aliasing.
 type iterSource interface {
 	emitIter(b *builder)
-	kernelName() string
 }
 
 // elem is the element size in bytes of every array (double precision).
@@ -58,11 +61,9 @@ func newStreamKernel(win regWindow, reg int, pcBase uint64, strideElems int, rng
 	}
 }
 
-func (k *streamKernel) kernelName() string { return "stream" }
-
 // emitIter emits one unrolled loop iteration: unroll element bodies
 // followed by the index update and the loop-back branch. The long basic
-// block mirrors unrolled SPEC2000fp inner loops (see DESIGN.md §4) and
+// block mirrors unrolled SPEC2000fp inner loops (see README Workloads) and
 // is what lets the checkpoint-at-branches heuristic form large windows.
 func (k *streamKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
@@ -119,8 +120,6 @@ func newStencilKernel(win regWindow, reg int, pcBase uint64) *stencilKernel {
 	}
 }
 
-func (k *stencilKernel) kernelName() string { return "stencil" }
-
 func (k *stencilKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
 	for u := 0; u < k.unroll; u++ {
@@ -176,8 +175,6 @@ func newReductionKernel(win regWindow, reg int, pcBase uint64) *reductionKernel 
 	}
 }
 
-func (k *reductionKernel) kernelName() string { return "reduction" }
-
 func (k *reductionKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
 	for u := 0; u < k.unroll; u++ {
@@ -232,8 +229,6 @@ func newBlockedKernel(win regWindow, reg int, pcBase uint64) *blockedKernel {
 	}
 }
 
-func (k *blockedKernel) kernelName() string { return "blocked" }
-
 func (k *blockedKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
 	for u := 0; u < k.unroll; u++ {
@@ -276,8 +271,6 @@ func newChaseKernel(win regWindow, reg int, pcBase uint64, rng *prng) *chaseKern
 		rng:    rng,
 	}
 }
-
-func (k *chaseKernel) kernelName() string { return "pointerchase" }
 
 func (k *chaseKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
@@ -327,8 +320,6 @@ func newCondKernel(win regWindow, reg int, pcBase uint64, pTaken float64, loadDe
 	}
 }
 
-func (k *condKernel) kernelName() string { return "cond" }
-
 func (k *condKernel) emitIter(b *builder) {
 	w, pc := k.win, k.pcBase
 	off := (k.i % k.foot) * elem
@@ -349,58 +340,63 @@ func (k *condKernel) emitIter(b *builder) {
 	k.i++
 }
 
-// fill runs src until the builder holds n instructions, then truncates
-// to exactly n.
-func fill(b *builder, src iterSource, n int) {
-	for b.len() < n {
-		src.emitIter(b)
-	}
-	b.insts = b.insts[:n]
-}
-
 // fullWindow is the register window for single-kernel traces.
 var fullWindow = regWindow{intBase: 0, intN: isa.NumIntRegs, fpBase: 0, fpN: isa.NumFPRegs}
 
-// Stream generates n instructions of the unit-stride FP triad.
-func Stream(n int) *Trace {
-	b := newBuilder(n)
-	fill(b, newStreamKernel(fullWindow, 0, 0x1000, 1, newPRNG(1)), n)
-	return b.trace("stream").withRecipe(Recipe{Kernel: KernelStream, N: n})
+// synthRound builds the kernel round of a synthetic recipe: the
+// iteration sources, in emission order, whose endless replay is the
+// recipe's stream and whose first N instructions are its materialised
+// trace. It is the one place a recipe's kernel instances get their
+// register windows, address regions, PC bases and seeds.
+func synthRound(r Recipe) ([]iterSource, error) {
+	switch r.Kernel {
+	case KernelStream:
+		return []iterSource{newStreamKernel(fullWindow, 0, 0x1000, 1, newPRNG(1))}, nil
+	case KernelStrided:
+		return []iterSource{newStreamKernel(fullWindow, 0, 0x1000, r.Stride, newPRNG(1))}, nil
+	case KernelStencil:
+		return []iterSource{newStencilKernel(fullWindow, 1, 0x2000)}, nil
+	case KernelReduction:
+		return []iterSource{newReductionKernel(fullWindow, 2, 0x3000)}, nil
+	case KernelBlocked:
+		return []iterSource{newBlockedKernel(fullWindow, 3, 0x4000)}, nil
+	case KernelPointerChase:
+		return []iterSource{newChaseKernel(fullWindow, 4, 0x5000, newPRNG(7))}, nil
+	case KernelFPMix:
+		return mixRound(r.Seed, DefaultWeights())
+	}
+	return nil, fmt.Errorf("trace: recipe %s is not a synthetic kernel", r.Kernel)
 }
+
+// synthetic materialises a recipe for the public generators below.
+// They take their parameters on trust and skip Validate, so any error
+// is a programming bug.
+func synthetic(r Recipe) *Trace {
+	tr, err := r.materialise()
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
+// Stream generates n instructions of the unit-stride FP triad.
+func Stream(n int) *Trace { return synthetic(Recipe{Kernel: KernelStream, N: n}) }
 
 // StridedStream generates the triad with the given stride in elements;
 // stride 8 makes every load touch a new L2 line.
 func StridedStream(n, strideElems int) *Trace {
-	b := newBuilder(n)
-	fill(b, newStreamKernel(fullWindow, 0, 0x1000, strideElems, newPRNG(1)), n)
-	return b.trace("stream-strided").withRecipe(Recipe{Kernel: KernelStrided, N: n, Stride: strideElems})
+	return synthetic(Recipe{Kernel: KernelStrided, N: n, Stride: strideElems})
 }
 
 // Stencil generates n instructions of the 3-point stencil.
-func Stencil(n int) *Trace {
-	b := newBuilder(n)
-	fill(b, newStencilKernel(fullWindow, 1, 0x2000), n)
-	return b.trace("stencil").withRecipe(Recipe{Kernel: KernelStencil, N: n})
-}
+func Stencil(n int) *Trace { return synthetic(Recipe{Kernel: KernelStencil, N: n}) }
 
 // Reduction generates n instructions of the unrolled dot product.
-func Reduction(n int) *Trace {
-	b := newBuilder(n)
-	fill(b, newReductionKernel(fullWindow, 2, 0x3000), n)
-	return b.trace("reduction").withRecipe(Recipe{Kernel: KernelReduction, N: n})
-}
+func Reduction(n int) *Trace { return synthetic(Recipe{Kernel: KernelReduction, N: n}) }
 
 // Blocked generates n instructions of the cache-blocked matrix-vector
 // product.
-func Blocked(n int) *Trace {
-	b := newBuilder(n)
-	fill(b, newBlockedKernel(fullWindow, 3, 0x4000), n)
-	return b.trace("blocked").withRecipe(Recipe{Kernel: KernelBlocked, N: n})
-}
+func Blocked(n int) *Trace { return synthetic(Recipe{Kernel: KernelBlocked, N: n}) }
 
 // PointerChase generates n instructions of serial dependent misses.
-func PointerChase(n int) *Trace {
-	b := newBuilder(n)
-	fill(b, newChaseKernel(fullWindow, 4, 0x5000, newPRNG(7)), n)
-	return b.trace("pointerchase").withRecipe(Recipe{Kernel: KernelPointerChase, N: n})
-}
+func PointerChase(n int) *Trace { return synthetic(Recipe{Kernel: KernelPointerChase, N: n}) }

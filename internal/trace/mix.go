@@ -1,6 +1,10 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/isa"
+)
 
 // MixWeights sets the iteration-level interleave ratio of the FP mix
 // kernels. Each weight is the number of iterations of that kernel per
@@ -40,41 +44,31 @@ func (w MixWeights) Validate() error {
 // FPMix generates the paper's headline workload: a deterministic
 // weighted interleave of the FP kernels with DefaultWeights.
 func FPMix(n int, seed uint64) *Trace {
-	return Mix(n, seed, DefaultWeights())
+	return synthetic(Recipe{Kernel: KernelFPMix, N: n, Seed: seed})
 }
 
 // Mix generates a weighted interleave of the FP kernels. Each kernel
 // instance owns a disjoint register window and address region, so
 // interleaving changes scheduling pressure without creating false
-// cross-kernel dependences.
+// cross-kernel dependences. Only the default weights have a
+// declarative recipe (see FPMix); custom weights produce an anonymous,
+// unfingerprintable trace.
 func Mix(n int, seed uint64, w MixWeights) *Trace {
+	if w == DefaultWeights() {
+		return FPMix(n, seed)
+	}
 	round, err := mixRound(seed, w)
 	if err != nil {
 		panic(err)
 	}
-	b := newBuilder(n)
-	for b.len() < n {
-		for _, src := range round {
-			src.emitIter(b)
-			if b.len() >= n {
-				break
-			}
-		}
-	}
-	b.insts = b.insts[:n]
-	tr := b.trace("fpmix")
-	// Only the default mix has a declarative recipe; custom weights
-	// produce an anonymous (unfingerprintable) trace.
-	if w == DefaultWeights() {
-		tr = tr.withRecipe(Recipe{Kernel: KernelFPMix, N: n, Seed: seed})
-	}
-	return tr
+	// A synthetic source never fails.
+	insts, _ := drain(make([]isa.Inst, 0, n), &synthSource{round: round}, n)
+	return &Trace{name: KernelFPMix, insts: insts}
 }
 
-// mixRound builds the kernel instances and the one scheduling round Mix
-// and the streaming generator share. All instances draw from one PRNG in
-// round emission order, so replaying whole rounds reproduces the exact
-// materialised sequence (truncation in Mix only drops a suffix).
+// mixRound builds the kernel instances and the scheduling round of a
+// mix. All instances draw from one PRNG in round emission order, so the
+// stream is a pure function of seed and weights.
 func mixRound(seed uint64, w MixWeights) ([]iterSource, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err

@@ -3,8 +3,8 @@ package trace
 import (
 	"fmt"
 
+	"repro/internal/isa"
 	"repro/internal/isa/programs"
-	"repro/internal/isa/rv32"
 )
 
 // Kernel names accepted by Recipe. Each maps to one public generator.
@@ -159,54 +159,44 @@ func (r Recipe) String() string {
 	return fmt.Sprintf("%s/n=%d/seed=%d/stride=%d", r.Kernel, r.N, r.Seed, r.Stride)
 }
 
-// Materialise regenerates the trace the recipe describes. Generation is
-// deterministic: two Materialise calls of equal recipes produce
-// instruction-identical traces.
+// Materialise regenerates the trace the recipe describes: the first N
+// instructions of its stream (see OpenStream), or a program's whole
+// stream. Generation is deterministic: two Materialise calls of equal
+// recipes produce instruction-identical traces.
 func (r Recipe) Materialise() (*Trace, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	switch r.Kernel {
-	case KernelStream:
-		return Stream(r.N), nil
-	case KernelStrided:
-		return StridedStream(r.N, r.Stride), nil
-	case KernelStencil:
-		return Stencil(r.N), nil
-	case KernelReduction:
-		return Reduction(r.N), nil
-	case KernelBlocked:
-		return Blocked(r.N), nil
-	case KernelPointerChase:
-		return PointerChase(r.N), nil
-	case KernelFPMix:
-		return FPMix(r.N, r.Seed), nil
-	case KernelProgram:
-		return r.materialiseProgram()
-	}
-	panic("unreachable: Validate accepted kernel " + r.Kernel)
+	return r.materialise()
 }
 
-// materialiseProgram builds and functionally executes the program into
-// its dynamic stream. Execution is deterministic, so program traces are
-// bit-identical across materialisations, hosts, and fleet nodes — the
-// same contract the synthetic generators give the content-addressed
-// cache.
-func (r Recipe) materialiseProgram() (*Trace, error) {
-	spec, ok := programs.Lookup(r.Program)
-	if !ok {
-		return nil, fmt.Errorf("trace: recipe: unknown program %q", r.Program)
+// materialise drains the recipe's stream into a trace without
+// validating r. A materialised strided trace keeps its historical name
+// "stream-strided" (the stream is named by WorkloadName): both reach
+// Results.Name and so the bytes of every cached result.
+func (r Recipe) materialise() (*Trace, error) {
+	src, code, err := r.source()
+	if err != nil {
+		return nil, err
 	}
-	p, err := spec.Build(r.Input, r.Seed)
+	n, capacity := r.N, r.N
+	if r.Kernel == KernelProgram {
+		// A program's length is whatever it executes before halting;
+		// one instruction past the cap proves it did not halt in time.
+		n, capacity = MaxRecipeInsts+1, 4096
+	}
+	insts, err := drain(make([]isa.Inst, 0, capacity), src, n)
+	if err == nil && r.Kernel == KernelProgram && len(insts) > MaxRecipeInsts {
+		err = fmt.Errorf("exceeds %d dynamic instructions without halting", MaxRecipeInsts)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("trace: recipe %s: %w", r, err)
 	}
-	insts, img, err := rv32.BuildTrace(p, MaxRecipeInsts)
-	if err != nil {
-		return nil, fmt.Errorf("trace: recipe %s: %w", r, err)
+	name := r.WorkloadName()
+	if r.Kernel == KernelStrided {
+		name = "stream-strided"
 	}
-	t := &Trace{name: r.Program, insts: insts, code: img}
-	return t.withRecipe(r), nil
+	return (&Trace{name: name, insts: insts, code: code}).withRecipe(r), nil
 }
 
 // WorkloadName returns the human-facing workload label: the program

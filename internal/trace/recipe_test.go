@@ -45,6 +45,23 @@ func TestGeneratorsRecordRecipes(t *testing.T) {
 			}
 		}
 	}
+
+	// A materialised strided trace and its stream keep their distinct
+	// historical names: both reach Results.Name, so the cached and
+	// pinned result bytes depend on them.
+	strided := Recipe{Kernel: KernelStrided, N: n, Stride: 8}
+	tr, err := strided.Materialise()
+	if err != nil {
+		t.Fatalf("materialise strided: %v", err)
+	}
+	st, err := strided.OpenStream()
+	if err != nil {
+		t.Fatalf("open strided stream: %v", err)
+	}
+	if tr.Name() != "stream-strided" || st.Name() != "strided" {
+		t.Errorf("strided names: materialised %q, streamed %q; want %q, %q",
+			tr.Name(), st.Name(), "stream-strided", "strided")
+	}
 }
 
 // TestCustomMixHasNoRecipe: non-default weights cannot be regenerated

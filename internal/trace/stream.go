@@ -9,17 +9,18 @@ import (
 )
 
 // InstStream produces a workload's dynamic instruction stream lazily,
-// in segments, instead of as one materialised slice. Synthetic kernels
-// stream by construction (their generators emit an infinite sequence of
-// which Materialise keeps a prefix), and programs stream through the
+// in segments, instead of as one materialised slice. It is the only
+// instruction generator: synthetic kernels replay their kernel round
+// (synthRound) without end, and programs stream through the
 // incremental RV32 executor, so only the instructions near the cursor
 // ever exist in memory. This is what lifts MaxRecipeInsts for sampled
 // runs: a sampled point's budget is bounded by MaxStreamInsts, not by
 // what fits in one allocation.
 //
-// Prefix contract: for any recipe, the streamed sequence's first N
-// elements equal Recipe{..., N}.Materialise()'s instructions
-// element-for-element (enforced by TestStreamedMatchesMaterialised).
+// Prefix contract: Recipe{..., N}.Materialise() is the first N
+// instructions of the recipe's stream (all of a program's), drained
+// from the same source; TestStreamedMatchesMaterialised pins both to
+// the same digests.
 type InstStream struct {
 	name string
 	code StaticCode
@@ -113,76 +114,71 @@ func (r Recipe) OpenStream() (*InstStream, error) {
 	if err := r.ValidateStreamed(); err != nil {
 		return nil, err
 	}
-	if r.Kernel == KernelProgram {
-		return r.openProgramStream()
-	}
-	round, err := synthRound(r)
+	src, code, err := r.source()
 	if err != nil {
 		return nil, err
 	}
-	return &InstStream{name: r.WorkloadName(), src: &synthSource{round: round}}, nil
+	return &InstStream{name: r.WorkloadName(), code: code, src: src}, nil
 }
 
-// synthRound builds the kernel instances a synthetic recipe's stream
-// replays, mirroring each public generator's construction exactly —
-// same windows, regions, seeds and emission order — so the stream is
-// bit-identical to the materialised trace (the generators' emitters are
-// deterministic and truncation-free until fill cuts the tail).
-func synthRound(r Recipe) ([]iterSource, error) {
-	switch r.Kernel {
-	case KernelStream:
-		return []iterSource{newStreamKernel(fullWindow, 0, 0x1000, 1, newPRNG(1))}, nil
-	case KernelStrided:
-		return []iterSource{newStreamKernel(fullWindow, 0, 0x1000, r.Stride, newPRNG(1))}, nil
-	case KernelStencil:
-		return []iterSource{newStencilKernel(fullWindow, 1, 0x2000)}, nil
-	case KernelReduction:
-		return []iterSource{newReductionKernel(fullWindow, 2, 0x3000)}, nil
-	case KernelBlocked:
-		return []iterSource{newBlockedKernel(fullWindow, 3, 0x4000)}, nil
-	case KernelPointerChase:
-		return []iterSource{newChaseKernel(fullWindow, 4, 0x5000, newPRNG(7))}, nil
-	case KernelFPMix:
-		return mixRound(r.Seed, DefaultWeights())
+// source opens the recipe's instruction producer, plus the static code
+// image for programs. It does not validate r.
+func (r Recipe) source() (streamSource, StaticCode, error) {
+	if r.Kernel != KernelProgram {
+		round, err := synthRound(r)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &synthSource{round: round}, nil, nil
 	}
-	return nil, fmt.Errorf("trace: recipe %s cannot stream", r.Kernel)
+	spec, ok := programs.Lookup(r.Program)
+	if !ok {
+		return nil, nil, fmt.Errorf("trace: recipe: unknown program %q", r.Program)
+	}
+	p, err := spec.Build(r.Input, r.Seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace: recipe %s: %w", r, err)
+	}
+	st, err := rv32.NewStreamer(p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace: recipe %s: %w", r, err)
+	}
+	img, err := rv32.NewImage(p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace: recipe %s: %w", r, err)
+	}
+	return &programSource{st: st}, img, nil
 }
 
-// synthSource emits one full scheduling round per call. Mix's
-// materialiser may stop mid-round at the length cut, but everything it
-// kept is a prefix of the whole-round sequence, so streaming whole
-// rounds reproduces it exactly.
+// drain appends src's output to dst until dst holds n instructions or
+// src ends, and cuts the result to at most n: the materialised prefix
+// of a stream.
+func drain(dst []isa.Inst, src streamSource, n int) ([]isa.Inst, error) {
+	for len(dst) < n {
+		before := len(dst)
+		var err error
+		if dst, err = src.emit(dst); err != nil {
+			return nil, err
+		}
+		if len(dst) == before {
+			break
+		}
+	}
+	return dst[:min(len(dst), n)], nil
+}
+
+// synthSource emits one kernel iteration per call, cycling through the
+// round.
 type synthSource struct {
 	round []iterSource
+	next  int
 }
 
 func (s *synthSource) emit(dst []isa.Inst) ([]isa.Inst, error) {
 	b := builder{insts: dst}
-	for _, k := range s.round {
-		k.emitIter(&b)
-	}
+	s.round[s.next].emitIter(&b)
+	s.next = (s.next + 1) % len(s.round)
 	return b.insts, nil
-}
-
-// openProgramStream wires the incremental RV32 executor to the stream.
-func (r Recipe) openProgramStream() (*InstStream, error) {
-	spec, ok := programs.Lookup(r.Program)
-	if !ok {
-		return nil, fmt.Errorf("trace: recipe: unknown program %q", r.Program)
-	}
-	p, err := spec.Build(r.Input, r.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("trace: recipe %s: %w", r, err)
-	}
-	st, err := rv32.NewStreamer(p)
-	if err != nil {
-		return nil, fmt.Errorf("trace: recipe %s: %w", r, err)
-	}
-	img, err := rv32.NewImage(p)
-	if err != nil {
-		return nil, fmt.Errorf("trace: recipe %s: %w", r, err)
-	}
-	return &InstStream{name: r.Program, code: img, src: &programSource{st: st}}, nil
 }
 
 type programSource struct {
@@ -194,4 +190,42 @@ func (p *programSource) emit(dst []isa.Inst) ([]isa.Inst, error) {
 		return dst, nil
 	}
 	return p.st.Emit(dst)
+}
+
+// WalkWarm consumes the stream from the cursor — limit instructions, or
+// to its end when limit is 0 — and visits its cache warm-up events in
+// order: each instruction's IL1 line the first time the walk sees it,
+// then the instruction's data access, if any. It is the one warm-up
+// walk: Trace.WarmFootprint records it once per materialised trace, and
+// sampled runs feed it straight into their hierarchy over a stream too
+// long to materialise, so both warm from the same event sequence.
+func (s *InstStream) WalkWarm(limit int64, visit func(WarmEvent)) error {
+	seen := make(map[uint64]struct{})
+	end := s.base + limit
+	for limit == 0 || s.base < end {
+		chunk := 8192
+		if limit > 0 {
+			chunk = int(min(end-s.base, int64(chunk)))
+		}
+		insts, err := s.Peek(chunk)
+		if err != nil {
+			return err
+		}
+		if len(insts) == 0 {
+			break
+		}
+		for i := range insts {
+			in := &insts[i]
+			line := in.PC &^ (WarmLineBytes - 1)
+			if _, ok := seen[line]; !ok {
+				seen[line] = struct{}{}
+				visit(WarmEvent{Addr: line, Fetch: true})
+			}
+			if in.Op.IsMem() {
+				visit(WarmEvent{Addr: in.Addr})
+			}
+		}
+		s.Skip(len(insts))
+	}
+	return nil
 }

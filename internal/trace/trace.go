@@ -1,6 +1,6 @@
 // Package trace generates the deterministic synthetic workloads that
-// stand in for the paper's SPEC2000fp benchmarks (see DESIGN.md §3-4 for
-// the substitution argument). A Trace is a materialised dynamic
+// stand in for the paper's SPEC2000fp benchmarks (see README Workloads
+// for the substitution argument). A Trace is a materialised dynamic
 // instruction stream: random access by position makes checkpoint
 // rollback replay trivial and exact.
 //
@@ -113,19 +113,9 @@ type WarmEvent struct {
 // it.
 func (t *Trace) WarmFootprint() []WarmEvent {
 	t.warmOnce.Do(func() {
-		seen := make(map[uint64]struct{})
 		events := make([]WarmEvent, 0, len(t.insts)/2)
-		for i := range t.insts {
-			in := &t.insts[i]
-			pc := in.PC &^ (WarmLineBytes - 1)
-			if _, ok := seen[pc]; !ok {
-				seen[pc] = struct{}{}
-				events = append(events, WarmEvent{Addr: pc, Fetch: true})
-			}
-			if in.Op.IsMem() {
-				events = append(events, WarmEvent{Addr: in.Addr})
-			}
-		}
+		// A borrowed stream has no source, so its walk cannot fail.
+		_ = t.OpenStream().WalkWarm(0, func(ev WarmEvent) { events = append(events, ev) })
 		t.warmEvents = events
 	})
 	return t.warmEvents
@@ -140,23 +130,13 @@ func (t *Trace) OpCounts() [isa.NumOps]int64 {
 	return c
 }
 
-// builder accumulates instructions for a trace.
+// builder accumulates the instructions kernels emit.
 type builder struct {
 	insts []isa.Inst
 }
 
-func newBuilder(n int) *builder {
-	return &builder{insts: make([]isa.Inst, 0, n)}
-}
-
 func (b *builder) emit(in isa.Inst) {
 	b.insts = append(b.insts, in)
-}
-
-func (b *builder) len() int { return len(b.insts) }
-
-func (b *builder) trace(name string) *Trace {
-	return &Trace{name: name, insts: b.insts}
 }
 
 // regWindow hands a kernel instance a disjoint slice of the logical

@@ -7,8 +7,9 @@
 //
 // The tracker is a pure admission-control state machine — the simulator
 // asks it whether rename/writeback may proceed and informs it of
-// redefinitions, completions and squashes. See DESIGN.md §3 for the
-// fidelity argument and the approximations made on rollback.
+// redefinitions, completions and squashes. See README Architecture for
+// the modelling contract; the early-release and squash approximations
+// are documented on Release, UnRename and SquashBound.
 package vreg
 
 import "fmt"
