@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/flight"
 	"repro/internal/service"
 	"repro/internal/sim"
 )
@@ -110,24 +111,11 @@ type Coordinator struct {
 
 	// flight deduplicates in-flight points across batches by
 	// fingerprint: one leader submission per point fleet-wide.
-	flightMu sync.Mutex
-	flight   map[string]*flightEntry
-
-	mu         sync.Mutex
-	batches    map[string]*service.Batch
-	order      []string
-	nextID     int
-	maxBatches int
+	flight flight.Group[string, json.RawMessage]
+	book   *service.BatchBook
 
 	pingStop chan struct{}
 	pingDone chan struct{}
-}
-
-type flightEntry struct {
-	done   chan struct{}
-	raw    json.RawMessage
-	cached bool
-	err    error
 }
 
 // New builds a coordinator and starts its health pinger. Call Close to
@@ -135,10 +123,6 @@ type flightEntry struct {
 func New(opt Options) (*Coordinator, error) {
 	if len(opt.Workers) == 0 {
 		return nil, fmt.Errorf("fleet: no workers configured")
-	}
-	maxBatches := opt.MaxBatches
-	if maxBatches <= 0 {
-		maxBatches = 256
 	}
 	interval := opt.PingInterval
 	if interval <= 0 {
@@ -170,9 +154,7 @@ func New(opt Options) (*Coordinator, error) {
 		pingTimeout: pingTimeout,
 		retryBudget: budget,
 		grace:       grace,
-		flight:      map[string]*flightEntry{},
-		batches:     map[string]*service.Batch{},
-		maxBatches:  maxBatches,
+		book:        service.NewBatchBook("f", opt.MaxBatches),
 		pingStop:    make(chan struct{}),
 		pingDone:    make(chan struct{}),
 	}
@@ -332,32 +314,13 @@ func (c *Coordinator) Submit(jobs []service.Job) (*service.Batch, error) {
 	c.metrics.Points.Add(uint64(len(jobs)))
 	c.metrics.QueueDepth.Add(int64(len(jobs)))
 
-	c.mu.Lock()
-	c.nextID++
-	b := service.NewBatch(fmt.Sprintf("f%d", c.nextID), append([]service.Job(nil), jobs...), fps)
-	c.batches[b.ID()] = b
-	c.order = append(c.order, b.ID())
-	for len(c.order) > c.maxBatches {
-		victim := c.batches[c.order[0]]
-		if victim != nil && victim.Status().State == service.StateRunning {
-			break
-		}
-		delete(c.batches, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.mu.Unlock()
-
+	b := c.book.Add(jobs, fps)
 	go c.dispatch(b)
 	return b, nil
 }
 
 // Batch returns a previously submitted batch by ID.
-func (c *Coordinator) Batch(id string) (*service.Batch, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.batches[id]
-	return b, ok
-}
+func (c *Coordinator) Batch(id string) (*service.Batch, bool) { return c.book.Batch(id) }
 
 // pointResult is one point's outcome arriving at the dispatch loop.
 type pointResult struct {
@@ -381,27 +344,21 @@ func (c *Coordinator) dispatch(b *service.Batch) {
 	// its bytes when it lands). Duplicate fingerprints within this batch
 	// follow their first occurrence the same way.
 	var lead []int
-	leaders := map[string]bool{}
+	leading := map[string]*flight.Call[json.RawMessage]{}
 	for i, fp := range fps {
-		c.flightMu.Lock()
-		e, inFlight := c.flight[fp]
-		if !inFlight {
-			e = &flightEntry{done: make(chan struct{})}
-			c.flight[fp] = e
-		}
-		c.flightMu.Unlock()
-		if !inFlight && !leaders[fp] {
-			leaders[fp] = true
+		call, leader := c.flight.Claim(fp)
+		if leader {
+			leading[fp] = call
 			lead = append(lead, i)
 			continue
 		}
 		c.metrics.PointsDeduped.Add(1)
-		go func(i int, e *flightEntry) {
-			<-e.done
+		go func() {
+			raw, err := call.Wait()
 			// A shared result is cached by definition: this submission
 			// ran nothing for it.
-			results <- pointResult{i: i, raw: e.raw, cached: e.err == nil, err: e.err}
-		}(i, e)
+			results <- pointResult{i: i, raw: raw, cached: err == nil, err: err}
+		}()
 	}
 
 	go c.route(b, lead, results)
@@ -413,9 +370,10 @@ func (c *Coordinator) dispatch(b *service.Batch) {
 			continue
 		}
 		done[r.i] = true
-		if leaders[fps[r.i]] {
-			c.resolveFlight(fps[r.i], r)
-			leaders[fps[r.i]] = false // resolve once per fingerprint
+		if call, ok := leading[fps[r.i]]; ok {
+			// Publish the leader's outcome to its followers.
+			c.flight.Publish(fps[r.i], call, r.raw, r.err)
+			delete(leading, fps[r.i])
 		}
 		if r.err != nil {
 			c.metrics.PointErrors.Add(1)
@@ -428,19 +386,6 @@ func (c *Coordinator) dispatch(b *service.Batch) {
 			c.log("%s", line)
 		}
 	}
-}
-
-// resolveFlight publishes a leader point's outcome to its followers.
-func (c *Coordinator) resolveFlight(fp string, r pointResult) {
-	c.flightMu.Lock()
-	e := c.flight[fp]
-	delete(c.flight, fp)
-	c.flightMu.Unlock()
-	if e == nil {
-		return
-	}
-	e.raw, e.cached, e.err = r.raw, r.cached, r.err
-	close(e.done)
 }
 
 // gracePoll spaces the no-ready-nodes waits inside route.

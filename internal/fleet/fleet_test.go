@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -229,17 +228,17 @@ func TestFleetReroutesAroundDeadNode(t *testing.T) {
 
 // fakeWorker implements service.BatchAPI with externally released
 // completions, for deterministic coordinator-logic tests without real
-// simulations. Results are synthesised from the job name.
+// simulations. Results are synthesised from the job name; with fail
+// set, every point completes with that error instead.
 type fakeWorker struct {
-	mu      sync.Mutex
-	batches map[string]*service.Batch
-	nextID  int
+	book    *service.BatchBook
 	points  atomic.Int64 // points ever submitted to this worker
 	release chan struct{}
+	fail    error
 }
 
 func newFakeWorker() *fakeWorker {
-	return &fakeWorker{batches: map[string]*service.Batch{}, release: make(chan struct{})}
+	return &fakeWorker{book: service.NewBatchBook("fake", 0), release: make(chan struct{})}
 }
 
 func (f *fakeWorker) Submit(jobs []service.Job) (*service.Batch, error) {
@@ -251,85 +250,104 @@ func (f *fakeWorker) Submit(jobs []service.Job) (*service.Batch, error) {
 		}
 		fps[i] = fp
 	}
-	f.mu.Lock()
-	f.nextID++
-	b := service.NewBatch(fmt.Sprintf("fake%d", f.nextID), jobs, fps)
-	f.batches[b.ID()] = b
-	f.mu.Unlock()
+	b := f.book.Add(jobs, fps)
 	f.points.Add(int64(len(jobs)))
 	go func() {
 		<-f.release
 		for i, j := range jobs {
-			b.Complete(i, json.RawMessage(fmt.Sprintf(`{"name":%q}`, j.Name)), false, nil)
+			if f.fail != nil {
+				b.Complete(i, nil, false, f.fail)
+			} else {
+				b.Complete(i, json.RawMessage(fmt.Sprintf(`{"name":%q}`, j.Name)), false, nil)
+			}
 		}
 	}()
 	return b, nil
 }
 
-func (f *fakeWorker) Batch(id string) (*service.Batch, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	b, ok := f.batches[id]
-	return b, ok
-}
+func (f *fakeWorker) Batch(id string) (*service.Batch, bool) { return f.book.Batch(id) }
 
 // TestFleetSingleflightAcrossBatches: two concurrent batches sharing a
 // fingerprint submit it downstream once; the follower adopts the
-// leader's bytes and reports cached.
+// leader's outcome. A result reports cached; a failure reaches the
+// follower as the same error and is not counted as a cache hit.
 func TestFleetSingleflightAcrossBatches(t *testing.T) {
-	fake := newFakeWorker()
-	srv := httptest.NewServer(service.NewAPIHandler(fake, service.HandlerOptions{}))
-	defer srv.Close()
+	for _, tc := range []struct {
+		name string
+		fail error
+	}{
+		{"leader succeeds", nil},
+		{"leader fails", errors.New("simulated point failure")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fake := newFakeWorker()
+			fake.fail = tc.fail
+			srv := httptest.NewServer(service.NewAPIHandler(fake, service.HandlerOptions{}))
+			defer srv.Close()
 
-	coord, err := New(Options{Workers: []string{srv.URL}, PingInterval: time.Hour})
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	defer coord.Close()
+			coord, err := New(Options{Workers: []string{srv.URL}, PingInterval: time.Hour})
+			if err != nil {
+				t.Fatalf("coordinator: %v", err)
+			}
+			defer coord.Close()
 
-	job := service.Job{
-		Name:   "shared",
-		Config: config.CheckpointDefault(64, 512),
-		Trace:  trace.Recipe{Kernel: trace.KernelStream, N: 6000},
-		Insts:  1500,
-	}
-	b1, err := coord.Submit([]service.Job{job})
-	if err != nil {
-		t.Fatalf("submit 1: %v", err)
-	}
-	// The leader's point must be downstream before the follower joins.
-	waitFor(t, func() bool { return fake.points.Load() == 1 })
-	b2, err := coord.Submit([]service.Job{job})
-	if err != nil {
-		t.Fatalf("submit 2: %v", err)
-	}
-	// Submit dispatches asynchronously: the follower must have joined
-	// the leader's flight before the leader is allowed to land.
-	waitFor(t, func() bool { return coord.metrics.PointsDeduped.Load() == 1 })
+			job := service.Job{
+				Name:   "shared",
+				Config: config.CheckpointDefault(64, 512),
+				Trace:  trace.Recipe{Kernel: trace.KernelStream, N: 6000},
+				Insts:  1500,
+			}
+			b1, err := coord.Submit([]service.Job{job})
+			if err != nil {
+				t.Fatalf("submit 1: %v", err)
+			}
+			// The leader's point must be downstream before the follower joins.
+			waitFor(t, func() bool { return fake.points.Load() == 1 })
+			b2, err := coord.Submit([]service.Job{job})
+			if err != nil {
+				t.Fatalf("submit 2: %v", err)
+			}
+			// Submit dispatches asynchronously: the follower must have joined
+			// the leader's flight before the leader is allowed to land.
+			waitFor(t, func() bool { return coord.metrics.PointsDeduped.Load() == 1 })
 
-	close(fake.release)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	st1, err := b1.Wait(ctx)
-	if err != nil {
-		t.Fatalf("wait 1: %v", err)
-	}
-	st2, err := b2.Wait(ctx)
-	if err != nil {
-		t.Fatalf("wait 2: %v", err)
-	}
+			close(fake.release)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			st1, err := b1.Wait(ctx)
+			if err != nil {
+				t.Fatalf("wait 1: %v", err)
+			}
+			st2, err := b2.Wait(ctx)
+			if err != nil {
+				t.Fatalf("wait 2: %v", err)
+			}
 
-	if got := fake.points.Load(); got != 1 {
-		t.Errorf("worker saw %d points, want 1 (cross-batch singleflight)", got)
-	}
-	if string(st1.Results[0]) != string(st2.Results[0]) {
-		t.Errorf("follower bytes differ from leader")
-	}
-	if st2.CacheHits != 1 {
-		t.Errorf("follower batch reported %d cache hits, want 1", st2.CacheHits)
-	}
-	if coord.metrics.PointsDeduped.Load() != 1 {
-		t.Errorf("PointsDeduped = %d, want 1", coord.metrics.PointsDeduped.Load())
+			if got := fake.points.Load(); got != 1 {
+				t.Errorf("worker saw %d points, want 1 (cross-batch singleflight)", got)
+			}
+			if coord.metrics.PointsDeduped.Load() != 1 {
+				t.Errorf("PointsDeduped = %d, want 1", coord.metrics.PointsDeduped.Load())
+			}
+			if tc.fail == nil {
+				if string(st1.Results[0]) != string(st2.Results[0]) {
+					t.Errorf("follower bytes differ from leader")
+				}
+				if st2.CacheHits != 1 {
+					t.Errorf("follower batch reported %d cache hits, want 1", st2.CacheHits)
+				}
+				return
+			}
+			if len(st1.Errors) != 1 || !strings.Contains(st1.Errors[0], tc.fail.Error()) {
+				t.Fatalf("leader errors = %q, want the worker's failure", st1.Errors)
+			}
+			if len(st2.Errors) != 1 || st2.Errors[0] != st1.Errors[0] {
+				t.Errorf("follower errors = %q, want the leader's %q", st2.Errors, st1.Errors)
+			}
+			if st2.CacheHits != 0 {
+				t.Errorf("follower batch counted a failed point as %d cache hit(s)", st2.CacheHits)
+			}
+		})
 	}
 }
 

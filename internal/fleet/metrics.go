@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/service"
 )
 
 // metrics is the coordinator's counter set, exposed in Prometheus text
@@ -23,51 +25,32 @@ type metrics struct {
 	QueueDepth       atomic.Int64
 }
 
-func counter(w io.Writer, name, help string, v uint64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-func gauge(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-}
-
 // WriteMetrics renders the coordinator's metric surface, including one
 // liveness gauge per worker.
 func (c *Coordinator) WriteMetrics(w io.Writer) {
 	m := &c.metrics
-	counter(w, "ooosim_fleet_batches_submitted_total", "Batches accepted by the coordinator.", m.BatchesSubmitted.Load())
-	counter(w, "ooosim_fleet_batches_rejected_total", "Batches refused while draining or over the queue bound.", m.BatchesRejected.Load())
-	counter(w, "ooosim_fleet_points_total", "Points admitted across all batches.", m.Points.Load())
-	counter(w, "ooosim_fleet_points_deduped_total", "Points that adopted another in-flight submission's result.", m.PointsDeduped.Load())
-	counter(w, "ooosim_fleet_point_errors_total", "Points that failed (simulation error or no workers left).", m.PointErrors.Load())
-	counter(w, "ooosim_fleet_reroutes_total", "Points re-bucketed to a surviving node after a worker failure.", m.Reroutes.Load())
-	counter(w, "ooosim_fleet_node_failures_total", "Worker dispatch failures (failed submission or severed stream).", m.NodeFailures.Load())
-	counter(w, "ooosim_fleet_breaker_trips_total", "Worker circuit breakers tripped open.", m.BreakerTrips.Load())
-	counter(w, "ooosim_fleet_retry_budget_exhausted_total", "Points that failed after exhausting their re-route budget.", m.RetryExhausted.Load())
-	gauge(w, "ooosim_fleet_queue_depth", "Points admitted but not yet finished.", m.QueueDepth.Load())
-	gauge(w, "ooosim_fleet_nodes", "Workers configured.", int64(len(c.nodes)))
-	ready := c.readyNodes()
-	gauge(w, "ooosim_fleet_nodes_ready", "Workers currently accepting work.", int64(len(ready)))
-	fmt.Fprintf(w, "# HELP ooosim_fleet_node_up Per-worker routability (1 breaker closed or half-open, 0 open).\n# TYPE ooosim_fleet_node_up gauge\n")
-	for _, n := range c.nodes {
-		v := 0
-		if n.breaker.Allow() {
-			v = 1
-		}
-		fmt.Fprintf(w, "ooosim_fleet_node_up{node=%q} %d\n", n.url, v)
+	service.WriteMetric(w, "counter", "ooosim_fleet_batches_submitted_total", "Batches accepted by the coordinator.", service.Val(m.BatchesSubmitted.Load()))
+	service.WriteMetric(w, "counter", "ooosim_fleet_batches_rejected_total", "Batches refused while draining or over the queue bound.", service.Val(m.BatchesRejected.Load()))
+	service.WriteMetric(w, "counter", "ooosim_fleet_points_total", "Points admitted across all batches.", service.Val(m.Points.Load()))
+	service.WriteMetric(w, "counter", "ooosim_fleet_points_deduped_total", "Points that adopted another in-flight submission's result.", service.Val(m.PointsDeduped.Load()))
+	service.WriteMetric(w, "counter", "ooosim_fleet_point_errors_total", "Points that failed (simulation error or no workers left).", service.Val(m.PointErrors.Load()))
+	service.WriteMetric(w, "counter", "ooosim_fleet_reroutes_total", "Points re-bucketed to a surviving node after a worker failure.", service.Val(m.Reroutes.Load()))
+	service.WriteMetric(w, "counter", "ooosim_fleet_node_failures_total", "Worker dispatch failures (failed submission or severed stream).", service.Val(m.NodeFailures.Load()))
+	service.WriteMetric(w, "counter", "ooosim_fleet_breaker_trips_total", "Worker circuit breakers tripped open.", service.Val(m.BreakerTrips.Load()))
+	service.WriteMetric(w, "counter", "ooosim_fleet_retry_budget_exhausted_total", "Points that failed after exhausting their re-route budget.", service.Val(m.RetryExhausted.Load()))
+	service.WriteMetric(w, "gauge", "ooosim_fleet_queue_depth", "Points admitted but not yet finished.", service.Val(m.QueueDepth.Load()))
+	service.WriteMetric(w, "gauge", "ooosim_fleet_nodes", "Workers configured.", service.Val(len(c.nodes)))
+	service.WriteMetric(w, "gauge", "ooosim_fleet_nodes_ready", "Workers currently accepting work.", service.Val(len(c.readyNodes())))
+	up := make([]service.Sample, len(c.nodes))
+	probeFails := make([]service.Sample, len(c.nodes))
+	for i, n := range c.nodes {
+		label := fmt.Sprintf("node=%q", n.url)
+		up[i] = service.Flag(n.breaker.Allow())
+		up[i].Labels = label
+		probeFails[i] = service.Sample{Labels: label, Value: int64(n.probeFails.Load())}
 	}
-	fmt.Fprintf(w, "# HELP ooosim_fleet_node_probe_failures_total Failed health probes per worker.\n# TYPE ooosim_fleet_node_probe_failures_total counter\n")
-	for _, n := range c.nodes {
-		fmt.Fprintf(w, "ooosim_fleet_node_probe_failures_total{node=%q} %d\n", n.url, n.probeFails.Load())
-	}
-	drain := int64(0)
-	if c.draining.Load() {
-		drain = 1
-	}
-	gauge(w, "ooosim_fleet_draining", "1 while the coordinator is draining.", drain)
-	readyV := int64(0)
-	if c.Ready() == nil {
-		readyV = 1
-	}
-	gauge(w, "ooosim_fleet_ready", "1 while the coordinator admits new batches.", readyV)
+	service.WriteMetric(w, "gauge", "ooosim_fleet_node_up", "Per-worker routability (1 breaker closed or half-open, 0 open).", up...)
+	service.WriteMetric(w, "counter", "ooosim_fleet_node_probe_failures_total", "Failed health probes per worker.", probeFails...)
+	service.WriteMetric(w, "gauge", "ooosim_fleet_draining", "1 while the coordinator is draining.", service.Flag(c.draining.Load()))
+	service.WriteMetric(w, "gauge", "ooosim_fleet_ready", "1 while the coordinator admits new batches.", service.Flag(c.Ready() == nil))
 }

@@ -191,12 +191,9 @@ func (b *Batch) Status() BatchStatus {
 	return st
 }
 
-// warmShared records one simulated point's donor usage: forked reports
-// that a warm donor existed at all, reused that it was already warm.
-func (b *Batch) warmShared(forked, reused bool) {
-	if !forked {
-		return
-	}
+// warmShared records one simulated point that forked a warm donor:
+// reused reports that the donor was warmed by another point or node.
+func (b *Batch) warmShared(reused bool) {
 	b.mu.Lock()
 	if reused {
 		b.warmReuses++
@@ -282,4 +279,56 @@ func (b *Batch) Wait(ctx context.Context) (BatchStatus, error) {
 			return b.Status(), nil
 		}
 	}
+}
+
+// BatchBook is the batch registry behind a BatchAPI: it names batches
+// in submission order and keeps them addressable by ID, forgetting the
+// oldest finished ones past its bound. A worker scheduler and a fleet
+// coordinator each keep one.
+type BatchBook struct {
+	prefix string
+	limit  int
+
+	mu      sync.Mutex
+	batches map[string]*Batch
+	order   []string // submission order, for bounded retention
+	nextID  int
+}
+
+// NewBatchBook returns a book naming batches prefix1, prefix2, … and
+// retaining at most limit finished batches; limit <= 0 uses 256.
+func NewBatchBook(prefix string, limit int) *BatchBook {
+	if limit <= 0 {
+		limit = 256
+	}
+	return &BatchBook{prefix: prefix, limit: limit, batches: map[string]*Batch{}}
+}
+
+// Add registers a new batch over a copy of jobs under the next ID.
+func (bk *BatchBook) Add(jobs []Job, fps []string) *Batch {
+	bk.mu.Lock()
+	defer bk.mu.Unlock()
+	bk.nextID++
+	b := NewBatch(fmt.Sprintf("%s%d", bk.prefix, bk.nextID), append([]Job(nil), jobs...), fps)
+	bk.batches[b.id] = b
+	bk.order = append(bk.order, b.id)
+	for len(bk.order) > bk.limit {
+		// Only retire finished batches; a pathological flood of
+		// still-running batches stays addressable.
+		victim := bk.batches[bk.order[0]]
+		if victim != nil && victim.Status().State == StateRunning {
+			break
+		}
+		delete(bk.batches, bk.order[0])
+		bk.order = bk.order[1:]
+	}
+	return b
+}
+
+// Batch returns a previously added batch by ID.
+func (bk *BatchBook) Batch(id string) (*Batch, bool) {
+	bk.mu.Lock()
+	defer bk.mu.Unlock()
+	b, ok := bk.batches[id]
+	return b, ok
 }

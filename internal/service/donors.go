@@ -9,11 +9,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -45,6 +43,10 @@ const donorSumHeader = "X-Ooosim-Snapshot-Sum"
 // the requester warms locally (exactly the pre-fleet behaviour), and a
 // node with no peer list behaves like a single-node daemon.
 //
+// The exchange holds no donors of its own: it adopts into, and serves
+// from, its scheduler's donor memo, the same memo the node's own points
+// fork from.
+//
 // Donors ship as mem.Hierarchy snapshots (see mem.WriteSnapshot); the
 // adopted donor forks bit-identically to a locally warmed one, so
 // results are byte-identical whichever path produced the donor.
@@ -53,36 +55,14 @@ type DonorExchange struct {
 	peers  []string // all fleet workers, same canonical order on every node
 	client *http.Client
 
-	// materialise regenerates a trace from its recipe for on-demand
-	// builds; the owning scheduler wires its trace memo here.
-	materialise func(trace.Recipe) (*trace.Trace, error)
-
-	mu  sync.Mutex
-	reg map[string]*donorEntry
+	// node is the scheduler whose donor memo the exchange adopts into
+	// and serves from; NewScheduler attaches it.
+	node *Scheduler
 
 	adopted      atomic.Uint64 // donors fetched from a peer
-	built        atomic.Uint64 // donors warmed on this node
 	shipped      atomic.Uint64 // donors served to peers
 	fetchRetries atomic.Uint64 // fetch attempts retried before success or fallback
 	fetchFails   atomic.Uint64 // peer fetches that fell back to local warm-up
-}
-
-// donorRegistryLimit bounds the registry; donors are a few hundred KB
-// each. Past the bound the whole memo drops (same policy as warmCache).
-const donorRegistryLimit = 128
-
-type donorEntry struct {
-	once  sync.Once
-	ready atomic.Bool
-	donor *mem.Hierarchy
-	err   error
-
-	blobOnce sync.Once
-	blob     []byte
-	blobErr  error
-
-	sumOnce sync.Once
-	sum     string
 }
 
 // NewDonorExchange builds the exchange for a node. peers is the full
@@ -100,7 +80,6 @@ func NewDonorExchange(self string, peers []string) *DonorExchange {
 		// warm replay, well under a second at figure scale) plus shipping
 		// a few hundred KB.
 		client: &http.Client{Timeout: 30 * time.Second},
-		reg:    map[string]*donorEntry{},
 	}
 }
 
@@ -135,43 +114,21 @@ func (dx *DonorExchange) home(key string) string {
 	return dx.peers[sim.ShardFor(key, len(dx.peers))]
 }
 
-// entry returns (creating if needed) the registry slot for key.
-func (dx *DonorExchange) entry(key string) *donorEntry {
-	dx.mu.Lock()
-	defer dx.mu.Unlock()
-	e, ok := dx.reg[key]
-	if !ok {
-		if len(dx.reg) >= donorRegistryLimit {
-			dx.reg = map[string]*donorEntry{}
-		}
-		e = &donorEntry{}
-		dx.reg[key] = e
+// adopt fetches the group's donor from its home node when that is a
+// peer. nil means the caller warms locally: this node is the home,
+// homing is disabled, or the fetch failed.
+func (dx *DonorExchange) adopt(key string, spec DonorSpec) *mem.Hierarchy {
+	home := dx.home(key)
+	if home == "" || home == dx.self {
+		return nil
 	}
-	return e
-}
-
-// Acquire returns the group's donor, adopting it from the group's home
-// node when that is a peer and warming locally otherwise (or when the
-// peer fails). A nil donor with nil error never happens; on error the
-// caller degrades to the cold path.
-func (dx *DonorExchange) Acquire(r trace.Recipe, key mem.WarmKey, tr *trace.Trace) (*mem.Hierarchy, error) {
-	e := dx.entry(DonorKey(r, key))
-	e.once.Do(func() {
-		defer e.ready.Store(true)
-		if home := dx.home(DonorKey(r, key)); home != "" && home != dx.self {
-			if donor, err := dx.fetch(home, DonorSpec{Trace: r, Warm: key}); err == nil {
-				dx.adopted.Add(1)
-				e.donor = donor
-				return
-			}
-			dx.fetchFails.Add(1)
-		}
-		e.donor, e.err = core.WarmDonor(key, tr)
-		if e.err == nil {
-			dx.built.Add(1)
-		}
-	})
-	return e.donor, e.err
+	donor, err := dx.fetch(home, key, spec)
+	if err != nil {
+		dx.fetchFails.Add(1)
+		return nil
+	}
+	dx.adopted.Add(1)
+	return donor
 }
 
 // UseTransport swaps the fetch client's transport (chaos injection).
@@ -183,18 +140,18 @@ func (dx *DonorExchange) UseTransport(rt http.RoundTripper) {
 // verification; donors are a few hundred KB, so 64 MB is pathology.
 const maxDonorSnapshot = 64 << 20
 
-// fetch retrieves (building on demand) the donor for spec from peer,
-// retrying transient transport failures and integrity mismatches a few
-// times before the caller falls back to a local warm-up. The body is
-// verified against the peer's snapshot digest header before a single
-// byte of it is parsed.
-func (dx *DonorExchange) fetch(peer string, spec DonorSpec) (*mem.Hierarchy, error) {
+// fetch retrieves (building on demand) the donor for spec, whose donor
+// key is key, from peer, retrying transient transport failures and
+// integrity mismatches a few times before the caller falls back to a
+// local warm-up. The body is verified against the peer's snapshot
+// digest header before a single byte of it is parsed.
+func (dx *DonorExchange) fetch(peer, key string, spec DonorSpec) (*mem.Hierarchy, error) {
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
 	url := fmt.Sprintf("%s/v1/donors/%s?spec=%s",
-		peer, DonorKey(spec.Trace, spec.Warm), base64.RawURLEncoding.EncodeToString(specJSON))
+		peer, key, base64.RawURLEncoding.EncodeToString(specJSON))
 	retrier := &faults.Retrier{
 		MaxAttempts: 3,
 		BaseDelay:   50 * time.Millisecond,
@@ -248,92 +205,83 @@ func (dx *DonorExchange) fetch(peer string, spec DonorSpec) (*mem.Hierarchy, err
 
 // ServeHTTP answers GET /v1/donors/{key}: the serialised donor for the
 // group, built on demand when the request carries the group's spec.
-// Without a spec only already-warmed donors are served (404 otherwise).
+// Without a spec only already-warmed donors are served (404 otherwise);
+// that lookup never adds to the donor memo, so requests for arbitrary
+// keys cannot crowd warmed donors out of it.
 func (dx *DonorExchange) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	var spec *DonorSpec
+	var (
+		g     donorGroup
+		ready bool
+		err   error
+	)
 	if raw := r.URL.Query().Get("spec"); raw != "" {
-		specJSON, err := base64.RawURLEncoding.DecodeString(raw)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad spec encoding: " + err.Error()})
+		spec, bad := parseDonorSpec(raw, key)
+		if bad != nil {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: bad.Error()})
 			return
 		}
-		var s DonorSpec
-		if err := json.Unmarshal(specJSON, &s); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad spec: " + err.Error()})
-			return
-		}
-		if err := s.Trace.Validate(); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-			return
-		}
-		if DonorKey(s.Trace, s.Warm) != key {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "spec does not hash to the requested donor key"})
-			return
-		}
-		spec = &s
+		// Build here, never adopt: the requester chose this node as the
+		// group's home.
+		g, _, err = dx.node.warmDonor(key, spec.Trace, spec.Warm, nil, false)
+		ready = true
+	} else {
+		g, ready, err = dx.node.groups.Peek(key)
 	}
-
-	e := dx.entry(key)
-	if spec != nil {
-		e.once.Do(func() {
-			defer e.ready.Store(true)
-			if dx.materialise == nil {
-				e.err = fmt.Errorf("service: donor exchange has no trace source")
-				return
-			}
-			var tr *trace.Trace
-			if tr, e.err = dx.materialise(spec.Trace); e.err != nil {
-				return
-			}
-			e.donor, e.err = core.WarmDonor(spec.Warm, tr)
-			if e.err == nil {
-				dx.built.Add(1)
-			}
-		})
-	}
-	if !e.ready.Load() || e.donor == nil {
-		// Not built here (and no spec to build from), or the build
-		// failed: the requester warms locally.
-		code := http.StatusNotFound
-		msg := "donor not warmed on this node"
-		if e.ready.Load() && e.err != nil {
-			code, msg = http.StatusInternalServerError, e.err.Error()
-		}
-		writeJSON(w, code, apiError{Error: msg})
+	if !ready {
+		writeJSON(w, http.StatusNotFound, apiError{Error: "donor not warmed on this node"})
 		return
 	}
-	e.blobOnce.Do(func() {
-		var buf bytes.Buffer
-		e.blobErr = e.donor.WriteSnapshot(&buf)
-		e.blob = buf.Bytes()
-	})
-	if e.blobErr != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: e.blobErr.Error()})
+	if err != nil {
+		// The build failed: the requester warms locally.
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}
-	e.sumOnce.Do(func() {
-		sum := sha256.Sum256(e.blob)
-		e.sum = hex.EncodeToString(sum[:])
-	})
+	var buf bytes.Buffer
+	if err := g.donor.WriteSnapshot(&buf); err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		return
+	}
+	sum := sha256.Sum256(buf.Bytes())
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(len(e.blob)))
-	w.Header().Set(donorSumHeader, e.sum)
-	if _, err := w.Write(e.blob); err == nil {
+	w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
+	w.Header().Set(donorSumHeader, hex.EncodeToString(sum[:]))
+	if _, err := w.Write(buf.Bytes()); err == nil {
 		dx.shipped.Add(1)
 	}
+}
+
+// parseDonorSpec decodes a ?spec= query value and checks that it
+// describes a valid group whose donor key is key.
+func parseDonorSpec(raw, key string) (DonorSpec, error) {
+	var spec DonorSpec
+	specJSON, err := base64.RawURLEncoding.DecodeString(raw)
+	if err != nil {
+		return spec, fmt.Errorf("bad spec encoding: %v", err)
+	}
+	if err := json.Unmarshal(specJSON, &spec); err != nil {
+		return spec, fmt.Errorf("bad spec: %v", err)
+	}
+	if err := spec.Trace.Validate(); err != nil {
+		return spec, err
+	}
+	if DonorKey(spec.Trace, spec.Warm) != key {
+		return spec, fmt.Errorf("spec does not hash to the requested donor key")
+	}
+	return spec, nil
 }
 
 // writeMetrics renders the exchange counters (part of the scheduler's
 // /metrics surface).
 func (dx *DonorExchange) writeMetrics(w io.Writer) {
-	counter(w, "ooosim_donors_adopted_total", "Warm donors adopted from a peer instead of warming locally.", dx.adopted.Load())
-	counter(w, "ooosim_donors_shipped_total", "Warm donors served to peers.", dx.shipped.Load())
-	counter(w, "ooosim_donor_fetch_retries_total", "Donor fetch attempts retried after a transient failure.", dx.fetchRetries.Load())
-	counter(w, "ooosim_donor_fetch_failures_total", "Peer donor fetches that fell back to a local warm-up.", dx.fetchFails.Load())
+	WriteMetric(w, "counter", "ooosim_donors_adopted_total", "Warm donors adopted from a peer instead of warming locally.", Val(dx.adopted.Load()))
+	WriteMetric(w, "counter", "ooosim_donors_shipped_total", "Warm donors served to peers.", Val(dx.shipped.Load()))
+	WriteMetric(w, "counter", "ooosim_donor_fetch_retries_total", "Donor fetch attempts retried after a transient failure.", Val(dx.fetchRetries.Load()))
+	WriteMetric(w, "counter", "ooosim_donor_fetch_failures_total", "Peer donor fetches that fell back to a local warm-up.", Val(dx.fetchFails.Load()))
 }
 
-// Stats reports the exchange counters (tests and operator tooling).
+// Stats reports the exchange counters and the attached node's local
+// donor builds (tests and operator tooling).
 func (dx *DonorExchange) Stats() (adopted, built, shipped, fetchFails uint64) {
-	return dx.adopted.Load(), dx.built.Load(), dx.shipped.Load(), dx.fetchFails.Load()
+	return dx.adopted.Load(), dx.node.metrics.WarmBuilds.Load(), dx.shipped.Load(), dx.fetchFails.Load()
 }

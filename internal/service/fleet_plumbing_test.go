@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -299,11 +300,22 @@ func TestDonorExchangeAdoptsFromHome(t *testing.T) {
 	if adoptedTotal != 1 || shippedTotal != 1 {
 		t.Errorf("adopted=%d shipped=%d, want 1 and 1", adoptedTotal, shippedTotal)
 	}
+	// Batch accounting agrees: an adopted donor is a reuse, so the
+	// batches report no more builds than the fleet performed.
+	var batchBuilds int
+	for i, st := range results {
+		t.Logf("node %d batch: warm_builds=%d warm_reuses=%d", i, st.WarmBuilds, st.WarmReuses)
+		batchBuilds += st.WarmBuilds
+	}
+	if uint64(batchBuilds) > builtTotal {
+		t.Errorf("batches report %d warm builds, fleet built %d", batchBuilds, builtTotal)
+	}
 }
 
 // TestDonorEndpointContract covers the shipping endpoint directly:
-// build-on-demand with a valid spec, 404 without one, and rejection of
-// a spec that does not hash to the key.
+// build-on-demand with a valid spec, 404 without one, rejection of a
+// spec that does not hash to the key, and spec-less lookups that never
+// displace a warmed donor.
 func TestDonorEndpointContract(t *testing.T) {
 	s := NewScheduler(SchedulerOptions{
 		Donors: NewDonorExchange("", nil), // serve-only node
@@ -341,16 +353,42 @@ func TestDonorEndpointContract(t *testing.T) {
 	// With the right spec the endpoint builds on demand and ships a
 	// snapshot that restores to the same warm key.
 	dx := NewDonorExchange("", []string{srv.URL})
-	donor, err := dx.fetch(srv.URL, spec)
+	donor, err := dx.fetch(srv.URL, key, spec)
 	if err != nil {
 		t.Fatalf("on-demand fetch: %v", err)
 	}
 	if donor.WarmKey() != spec.Warm {
 		t.Fatalf("restored warm key %+v, want %+v", donor.WarmKey(), spec.Warm)
 	}
-	_, built, shipped, _ := s.Donors().Stats()
-	if built != 1 || shipped != 1 {
-		t.Fatalf("server built=%d shipped=%d, want 1 and 1", built, shipped)
+	// The handler counts a shipment after its write returns, which can
+	// be after the client has the body.
+	shippedIs := func(n uint64) func() bool {
+		return func() bool { _, _, shipped, _ := s.Donors().Stats(); return shipped == n }
+	}
+	waitUntil(t, shippedIs(1))
+	if _, built, _, _ := s.Donors().Stats(); built != 1 {
+		t.Fatalf("server built=%d, want 1", built)
+	}
+
+	// Spec-less requests for unknown keys answer 404 and leave the donor
+	// memo alone: more junk keys than the memo holds must not evict the
+	// warmed donor, so a second fetch ships it without a rebuild.
+	for i := 0; i <= donorMemoLimit; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/donors/junk%d", srv.URL, i))
+		if err != nil {
+			t.Fatalf("junk get: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("junk key fetch = %d, want 404", resp.StatusCode)
+		}
+	}
+	if _, err := dx.fetch(srv.URL, key, spec); err != nil {
+		t.Fatalf("second fetch: %v", err)
+	}
+	waitUntil(t, shippedIs(2))
+	if _, built, _, _ := s.Donors().Stats(); built != 1 {
+		t.Fatalf("after junk keys: server built=%d, want 1 (warmed donor evicted)", built)
 	}
 }
 

@@ -184,13 +184,13 @@ func TestRestartRecovery(t *testing.T) {
 	}
 
 	// The recovered batch is addressable through the normal API.
-	s2.mu.Lock()
-	if len(s2.order) != 1 {
-		s2.mu.Unlock()
-		t.Fatalf("recovered scheduler has %d batches", len(s2.order))
+	s2.book.mu.Lock()
+	if len(s2.book.order) != 1 {
+		s2.book.mu.Unlock()
+		t.Fatalf("recovered scheduler has %d batches", len(s2.book.order))
 	}
-	id := s2.order[0]
-	s2.mu.Unlock()
+	id := s2.book.order[0]
+	s2.book.mu.Unlock()
 	b2, ok := s2.Batch(id)
 	if !ok {
 		t.Fatalf("recovered batch %s not addressable", id)

@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -38,7 +38,7 @@ type SchedulerOptions struct {
 	// Donors, when non-nil, is the fleet's warm-donor shipping fabric:
 	// snapshot-group donors are adopted from their home peer instead of
 	// warmed locally, and this node serves its own donors to peers. The
-	// scheduler wires its trace memo into the exchange.
+	// exchange shares the scheduler's donor memo.
 	Donors *DonorExchange
 	// Log, when non-nil, receives one line per completed batch with the
 	// batch's cache and snapshot-sharing statistics (cmd/ooosimd wires
@@ -64,12 +64,18 @@ var ErrOverloaded = errors.New("service: queue full")
 // fingerprint so concurrent identical submissions — within one batch or
 // across batches — simulate once and share the result.
 type Scheduler struct {
-	cache    *Cache
-	sem      chan struct{}
-	flight   flightGroup
-	traces   traceCache
-	warms    warmCache
-	donors   *DonorExchange
+	cache  *Cache
+	sem    chan struct{}
+	flight flight.Group[string, json.RawMessage]
+	// traces memoises materialised traces by canonical recipe string,
+	// and groups warmed donor hierarchies by snapshot group key, so a
+	// batch sweeping many configurations over few workloads generates
+	// each workload once and replays its cache warm-up once per
+	// geometry. The donor memo is the node's only one: the exchange
+	// adopts into it and serves from it.
+	traces   *flight.Memo[string, *trace.Trace]
+	groups   *flight.Memo[string, donorGroup]
+	exchange *DonorExchange
 	log      func(format string, args ...any)
 	journal  *Journal
 	maxQueue int
@@ -81,12 +87,25 @@ type Scheduler struct {
 	// wires sim.RunForked/sim.Run; tests substitute counting wrappers.
 	run func(sim.RunSpec, *mem.Hierarchy) (stats.Results, error)
 
-	mu         sync.Mutex
-	batches    map[string]*Batch
-	order      []string // submission order, for bounded retention
-	nextID     int
-	maxBatches int
+	book *BatchBook
 }
+
+// donorGroup is one snapshot group's entry in the donor memo.
+type donorGroup struct {
+	donor *mem.Hierarchy
+	// adopted is true when the donor was fetched from the group's home
+	// peer rather than warmed on this node.
+	adopted bool
+}
+
+// Memo bounds. 64 recipes at figure sizes is a few hundred MB of
+// traces, the most a daemon should pin for workload reuse; donors are a
+// few hundred KB each. Distinct recipes are few in practice (a figure
+// uses six).
+const (
+	traceMemoLimit = 64
+	donorMemoLimit = 128
+)
 
 // NewScheduler builds a scheduler.
 func NewScheduler(opt SchedulerOptions) *Scheduler {
@@ -98,14 +117,12 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 	if cache == nil {
 		cache, _ = NewCache(0, "") // memory-only construction cannot fail
 	}
-	maxBatches := opt.MaxBatches
-	if maxBatches <= 0 {
-		maxBatches = 256
-	}
 	s := &Scheduler{
 		cache:    cache,
 		sem:      make(chan struct{}, workers),
-		donors:   opt.Donors,
+		traces:   flight.NewMemo[string, *trace.Trace](traceMemoLimit),
+		groups:   flight.NewMemo[string, donorGroup](donorMemoLimit),
+		exchange: opt.Donors,
 		log:      opt.Log,
 		journal:  opt.Journal,
 		maxQueue: opt.MaxQueue,
@@ -115,14 +132,10 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 			}
 			return sim.RunForked(spec, donor)
 		},
-		batches:    map[string]*Batch{},
-		maxBatches: maxBatches,
+		book: NewBatchBook("b", opt.MaxBatches),
 	}
-	if s.donors != nil {
-		// On-demand donor builds (a peer asking before any local point
-		// touched the group) regenerate the trace through the same memo
-		// the simulation path uses.
-		s.donors.materialise = s.traces.get
+	if s.exchange != nil {
+		s.exchange.node = s
 	}
 	return s
 }
@@ -164,7 +177,7 @@ func (s *Scheduler) Ready() error {
 }
 
 // Donors returns the scheduler's donor exchange (nil outside a fleet).
-func (s *Scheduler) Donors() *DonorExchange { return s.donors }
+func (s *Scheduler) Donors() *DonorExchange { return s.exchange }
 
 // Submit validates and fingerprints every job, registers the batch, and
 // returns it with cache hits already completed; misses execute
@@ -215,22 +228,7 @@ func (s *Scheduler) Submit(jobs []Job) (*Batch, error) {
 	s.metrics.Points.Add(uint64(len(jobs)))
 	s.metrics.QueueDepth.Add(int64(nMisses))
 
-	s.mu.Lock()
-	s.nextID++
-	b := NewBatch(fmt.Sprintf("b%d", s.nextID), append([]Job(nil), jobs...), fps)
-	s.batches[b.id] = b
-	s.order = append(s.order, b.id)
-	for len(s.order) > s.maxBatches {
-		// Only retire finished batches; a pathological flood of
-		// still-running batches stays addressable.
-		victim := s.batches[s.order[0]]
-		if victim != nil && victim.Status().State == StateRunning {
-			break
-		}
-		delete(s.batches, s.order[0])
-		s.order = s.order[1:]
-	}
-	s.mu.Unlock()
+	b := s.book.Add(jobs, fps)
 
 	// Complete the hits, then launch the misses clustered by snapshot
 	// group — (trace recipe, warm-relevant cache shape) — so jobs that
@@ -261,7 +259,7 @@ func (s *Scheduler) Submit(jobs []Job) (*Batch, error) {
 		}
 	}
 	for _, i := range misses {
-		go s.runJob(b, i)
+		go s.runJob(b, i, groupKeys[i])
 	}
 	s.logIfDone(b)
 	return b, nil
@@ -304,10 +302,10 @@ func (s *Scheduler) Recover() (requeued int, err error) {
 	return requeued, nil
 }
 
-// snapshotGroupKey renders a job's snapshot-sharing identity: jobs with
-// equal keys fork the same warmed donor hierarchy.
+// snapshotGroupKey is a job's snapshot-sharing identity, its group's
+// donor key: jobs with equal keys fork the same warmed donor hierarchy.
 func snapshotGroupKey(j Job) string {
-	return fmt.Sprintf("%s\x00%+v", j.Trace.String(), mem.WarmKeyFor(j.Config))
+	return DonorKey(j.Trace, mem.WarmKeyFor(j.Config))
 }
 
 // countSnapshotGroups counts the distinct snapshot groups in a batch.
@@ -330,20 +328,15 @@ func (s *Scheduler) logIfDone(b *Batch) {
 }
 
 // Batch returns a previously submitted batch by ID.
-func (s *Scheduler) Batch(id string) (*Batch, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.batches[id]
-	return b, ok
-}
+func (s *Scheduler) Batch(id string) (*Batch, bool) { return s.book.Batch(id) }
 
-// runJob executes one cache miss: singleflight by fingerprint, then a
-// worker slot, then trace materialisation and simulation, then cache
-// fill. The result lands in the batch whatever the path. A point that
-// avoided simulation after all — the in-flight cache re-check hit, or
-// the flight deduplicated us against another submission's run — still
-// reports as cached.
-func (s *Scheduler) runJob(b *Batch, i int) {
+// runJob executes one cache miss, whose snapshot group key is group:
+// singleflight by fingerprint, then a worker slot, then trace
+// materialisation and simulation, then cache fill. The result lands in
+// the batch whatever the path. A point that avoided simulation after
+// all — the in-flight cache re-check hit, or the flight deduplicated us
+// against another submission's run — still reports as cached.
+func (s *Scheduler) runJob(b *Batch, i int, group string) {
 	defer s.metrics.QueueDepth.Add(-1)
 	job, fp := b.jobs[i], b.fps[i]
 	lateHit := false
@@ -371,17 +364,21 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 			}
 		} else {
 			var err error
-			if tr, err = s.traces.get(job.Trace); err != nil {
+			if tr, err = s.trace(job.Trace); err != nil {
 				return nil, err
 			}
 			// Fork the job's snapshot group's warmed donor instead of
 			// replaying the warm-up per point; a donor failure degrades to
 			// the cold path (never fails the job).
-			var reused bool
-			donor, reused = s.warms.get(s, job, tr)
-			b.warmShared(donor != nil, reused)
-			if donor != nil && reused {
-				s.metrics.WarmReuses.Add(1)
+			if g, built, err := s.warmDonor(group, job.Trace, mem.WarmKeyFor(job.Config), tr, true); err == nil {
+				donor = g.donor
+				// For the batch an adopted donor is a reuse: it was warmed
+				// elsewhere. The node counter counts only forks of a donor
+				// that was already in the memo.
+				b.warmShared(!built || g.adopted)
+				if !built {
+					s.metrics.WarmReuses.Add(1)
+				}
 			}
 		}
 		s.metrics.Simulations.Add(1)
@@ -428,96 +425,36 @@ func (s *Scheduler) runJob(b *Batch, i int) {
 	s.logIfDone(b)
 }
 
-// warmCache memoises warmed donor hierarchies by snapshot group so a
-// batch sweeping many configurations over few workloads replays each
-// workload's cache warm-up once per geometry (the service-side half of
-// the snapshot-fork kernel; sim.Sweep does the same for local runs).
-// Like traceCache, the memo is dropped wholesale past a bound.
-type warmCache struct {
-	mu sync.Mutex
-	m  map[string]*warmEntry
+// trace returns r's materialised trace from the trace memo.
+func (s *Scheduler) trace(r trace.Recipe) (*trace.Trace, error) {
+	tr, _, err := s.traces.Do(r.String(), r.Materialise)
+	return tr, err
 }
 
-type warmEntry struct {
-	once  sync.Once
-	donor *mem.Hierarchy
-}
-
-// warmCacheLimit bounds the memo; donors are a few hundred KB each.
-const warmCacheLimit = 128
-
-// get returns the group's warmed donor (nil when warming failed) and
-// whether an already-available donor was reused. With a donor exchange
-// attached the donor may be adopted from the group's home peer instead
-// of warmed here; without one the warm-up replays locally.
-func (wc *warmCache) get(s *Scheduler, j Job, tr *trace.Trace) (donor *mem.Hierarchy, reused bool) {
-	key := snapshotGroupKey(j)
-	wc.mu.Lock()
-	if wc.m == nil {
-		wc.m = map[string]*warmEntry{}
-	}
-	e, ok := wc.m[key]
-	if !ok {
-		if len(wc.m) >= warmCacheLimit {
-			wc.m = map[string]*warmEntry{}
-		}
-		e = &warmEntry{}
-		wc.m[key] = e
-	}
-	wc.mu.Unlock()
-	built := false
-	e.once.Do(func() {
-		built = true
-		// A failed donor (e.g. unwarmable geometry) stays nil: the
-		// group's jobs run cold, preserving the pre-fork behaviour.
-		warm := mem.WarmKeyFor(j.Config)
-		if s.donors != nil {
-			e.donor, _ = s.donors.Acquire(j.Trace, warm, tr)
-		} else {
-			e.donor, _ = core.WarmDonor(warm, tr)
-			if e.donor != nil {
-				s.metrics.WarmBuilds.Add(1)
+// warmDonor returns the donor of the snapshot group with donor key key,
+// recipe r and warm shape warm from the donor memo. The first caller
+// produces it: adopted from the group's home peer when adopt is set and
+// a donor exchange is attached, otherwise warmed here over tr (nil
+// materialises r). A failed build stays failed until the memo drops it;
+// callers run the group cold. built is true for the producing caller.
+func (s *Scheduler) warmDonor(key string, r trace.Recipe, warm mem.WarmKey, tr *trace.Trace, adopt bool) (g donorGroup, built bool, err error) {
+	return s.groups.Do(key, func() (donorGroup, error) {
+		if adopt && s.exchange != nil {
+			if donor := s.exchange.adopt(key, DonorSpec{Trace: r, Warm: warm}); donor != nil {
+				return donorGroup{donor: donor, adopted: true}, nil
 			}
 		}
-	})
-	return e.donor, ok && !built
-}
-
-// traceCache memoises materialised traces by canonical recipe string so
-// a batch sweeping many configurations over few workloads generates
-// each workload once. Generation is deduplicated per recipe; the memo
-// is dropped wholesale when it grows past a bound (distinct recipes are
-// few in practice — a figure uses six).
-type traceCache struct {
-	mu sync.Mutex
-	m  map[string]*traceEntry
-}
-
-type traceEntry struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
-// traceCacheLimit bounds the memo; 64 recipes at figure sizes is a few
-// hundred MB, the most a daemon should pin for workload reuse.
-const traceCacheLimit = 64
-
-func (tc *traceCache) get(r trace.Recipe) (*trace.Trace, error) {
-	key := r.String()
-	tc.mu.Lock()
-	if tc.m == nil {
-		tc.m = map[string]*traceEntry{}
-	}
-	e, ok := tc.m[key]
-	if !ok {
-		if len(tc.m) >= traceCacheLimit {
-			tc.m = map[string]*traceEntry{}
+		if tr == nil {
+			var err error
+			if tr, err = s.trace(r); err != nil {
+				return donorGroup{}, err
+			}
 		}
-		e = &traceEntry{}
-		tc.m[key] = e
-	}
-	tc.mu.Unlock()
-	e.once.Do(func() { e.tr, e.err = r.Materialise() })
-	return e.tr, e.err
+		donor, err := core.WarmDonor(warm, tr)
+		if err != nil {
+			return donorGroup{}, err
+		}
+		s.metrics.WarmBuilds.Add(1)
+		return donorGroup{donor: donor}, nil
+	})
 }

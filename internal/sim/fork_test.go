@@ -68,14 +68,14 @@ func TestGroupSpecsClustersByWarmShape(t *testing.T) {
 		{Config: geom, Trace: trA},                              // group 2
 		{Config: config.CheckpointDefault(64, 512), Trace: trA}, // group 0
 	}
-	bySpec, order := groupSpecs(specs)
-	if bySpec[0] != bySpec[2] || bySpec[0] != bySpec[4] {
+	groups, order := groupSpecs(specs)
+	if groups[0] != groups[2] || groups[0] != groups[4] {
 		t.Error("timing-only and policy-only differences must share a warm group")
 	}
-	if bySpec[0] == bySpec[1] {
+	if groups[0] == groups[1] {
 		t.Error("different traces must split warm groups")
 	}
-	if bySpec[0] == bySpec[3] {
+	if groups[0] == groups[3] {
 		t.Error("different cache geometries must split warm groups")
 	}
 	want := []int{0, 2, 4, 1, 3} // groups in first appearance order, members in spec order

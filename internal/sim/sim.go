@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -170,56 +171,38 @@ func runSampled(spec RunSpec) (stats.Results, error) {
 	})
 }
 
-// warmGroup shares one warmed donor hierarchy across every spec with
-// the same (trace, warm shape): the first member to need it warms the
-// donor once, every member forks it. The once makes donor warming safe
-// and single under concurrent workers.
-type warmGroup struct {
-	tr  *trace.Trace
-	key mem.WarmKey
-
-	once  sync.Once
-	donor *mem.Hierarchy
-	err   error
+// groupKey identifies the specs that share one warmed donor
+// hierarchy: the same trace under the same warm-relevant cache shape.
+type groupKey struct {
+	tr   *trace.Trace
+	warm mem.WarmKey
 }
 
-func (g *warmGroup) get() (*mem.Hierarchy, error) {
-	g.once.Do(func() { g.donor, g.err = core.WarmDonor(g.key, g.tr) })
-	return g.donor, g.err
-}
-
-// groupSpecs assigns every spec its warm group and returns a
-// group-clustered execution order: members of one group run adjacently
-// (groups in first-appearance order, members in spec order), so the
-// donor a worker forks is the one most recently touched. Results are
-// still reported by spec index, so the reordering is invisible in the
-// output.
-func groupSpecs(specs []RunSpec) (bySpec []*warmGroup, order []int) {
-	type groupKey struct {
-		tr  *trace.Trace
-		key mem.WarmKey
-	}
-	groups := make(map[groupKey]int)
-	bySpec = make([]*warmGroup, len(specs))
+// groupSpecs returns every spec's warm group and a group-clustered
+// execution order: members of one group run adjacently (groups in
+// first-appearance order, members in spec order), so the donor a worker
+// forks is the one most recently touched. Results are still reported by
+// spec index, so the reordering is invisible in the output.
+func groupSpecs(specs []RunSpec) (groups []groupKey, order []int) {
+	first := make(map[groupKey]int)
+	groups = make([]groupKey, len(specs))
 	var members [][]int
-	var list []*warmGroup
 	for i, s := range specs {
-		k := groupKey{s.Trace, mem.WarmKeyFor(s.Config)}
-		gi, ok := groups[k]
+		g := groupKey{s.Trace, mem.WarmKeyFor(s.Config)}
+		gi, ok := first[g]
 		if !ok {
-			gi = len(list)
-			groups[k] = gi
-			list = append(list, &warmGroup{tr: k.tr, key: k.key})
+			gi = len(members)
+			first[g] = gi
 			members = append(members, nil)
 		}
-		bySpec[i] = list[gi]
+		groups[i] = g
 		members[gi] = append(members[gi], i)
 	}
 	order = make([]int, 0, len(specs))
 	for _, m := range members {
 		order = append(order, m...)
 	}
-	return bySpec, order
+	return groups, order
 }
 
 // Sweep executes every spec over a bounded worker pool and returns the
@@ -266,7 +249,11 @@ func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, 
 		cancel()
 	}
 
-	bySpec, order := groupSpecs(specs)
+	// One donor per warm group, warmed by the first member to need it
+	// and forked by every member; groups never outnumber specs, so the
+	// memo never drops one mid-sweep.
+	groups, order := groupSpecs(specs)
+	donors := flight.NewMemo[groupKey, *mem.Hierarchy](len(specs))
 
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -280,7 +267,11 @@ func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, 
 				if ctx.Err() != nil {
 					continue // drain remaining indices after cancellation
 				}
-				res, err := runSpec(specs[i], bySpec[i].get, arena)
+				g := groups[i]
+				res, err := runSpec(specs[i], func() (*mem.Hierarchy, error) {
+					donor, _, err := donors.Do(g, func() (*mem.Hierarchy, error) { return core.WarmDonor(g.warm, g.tr) })
+					return donor, err
+				}, arena)
 				if err != nil {
 					fail(err)
 					continue
