@@ -7,6 +7,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/fu"
 	"repro/internal/isa"
+	"repro/internal/isa/rv32"
 	"repro/internal/lsq"
 	"repro/internal/mem"
 	"repro/internal/queue"
@@ -69,7 +70,7 @@ type CPU struct {
 	// target prediction). wpStart/wpBase locate the wrong-path fetch
 	// stream inside the image: the static index fetch diverged to, and
 	// the wpCounter value at divergence (see nextWrongPathInst).
-	code    trace.StaticCode
+	code    *rv32.Image
 	btb     *branch.BTB
 	wpStart int
 	wpBase  uint64

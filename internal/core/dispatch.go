@@ -311,7 +311,13 @@ func (c *CPU) nextWrongPathInst() isa.Inst {
 	k := c.wpCounter
 	c.wpCounter++
 	if c.code != nil {
-		idx := (c.wpStart + int((k-c.wpBase)%uint64(c.code.Len()))) % c.code.Len()
+		// wpStart < n, so one modulo and a conditional subtract wrap
+		// the index.
+		n := c.code.Len()
+		idx := c.wpStart + int((k-c.wpBase)%uint64(n))
+		if idx >= n {
+			idx -= n
+		}
 		in := c.code.At(idx)
 		if in.Op == isa.Load {
 			in.Addr = c.lastLoadAddr + 64*(1+k%32)

@@ -25,23 +25,49 @@ type sampleState struct {
 	conf *branch.Confidence
 }
 
-// newSampleState builds the persistent substrate exactly as a cold CPU
-// would: the predictor machinery starts untrained, and the hierarchy
-// (which window CPUs adopt without warming) replays the warm walk of
-// warm, a second stream over st's workload, up to limit instructions
-// (0: to its end), then primes the wrong-path region. The walk is the
-// one behind trace.WarmFootprint, so a sampled point and its
-// full-detail reference simulate over a hierarchy that saw the
-// identical warm sequence, including the capacity evictions a
-// footprint larger than the L2 inflicts on its own oldest lines. A
-// just-in-time per-window warm would hide those evictions and read
-// systematically fast.
-func newSampleState(cfg config.Config, st, warm *trace.InstStream, limit int64) (*sampleState, error) {
-	ss := &sampleState{hier: mem.NewHierarchy(cfg)}
-	if err := warm.WalkWarm(limit, func(ev trace.WarmEvent) { warmEvent(ss.hier, ev) }); err != nil {
+// WarmStreamDonor builds a donor hierarchy for key and warms it for
+// sampled runs: the warm walk of warm (a fresh stream over the
+// workload) up to limit instructions (0: to its end; see
+// SampledWarmLimit), then the wrong-path region. The walk is the one
+// behind trace.WarmFootprint, so a sampled point and its full-detail
+// reference simulate over a hierarchy that saw the identical warm
+// sequence, including the capacity evictions a footprint larger than
+// the L2 inflicts on its own oldest lines. A just-in-time per-window
+// warm would hide those evictions and read systematically fast.
+//
+// It is the sampled counterpart of WarmDonor: sweep engines warm one
+// per (workload, warm shape, limit) group and hand it to every member's
+// RunSampledForked; RunSampled warms a private one per call.
+func WarmStreamDonor(key mem.WarmKey, warm *trace.InstStream, limit int64) (*mem.Hierarchy, error) {
+	h, err := key.Donor()
+	if err != nil {
 		return nil, err
 	}
-	primeWrongPath(ss.hier)
+	if err := warm.WalkWarm(limit, func(ev trace.WarmEvent) { warmEvent(h, ev) }); err != nil {
+		return nil, err
+	}
+	primeWrongPath(h)
+	return h, nil
+}
+
+// SampledWarmLimit is how far a sampled run's one-time warm walks its
+// stream. Programs warm until the stream ends (0), mirroring full
+// detail warming the entire materialised trace regardless of the run
+// budget; synthetic streams never end, so they warm what a
+// materialised run of this budget would have warmed.
+func SampledWarmLimit(program bool, budget uint64) int64 {
+	if program {
+		return 0
+	}
+	return int64(trace.LenFor(budget))
+}
+
+// newSampleState builds the persistent substrate exactly as a cold CPU
+// would: the predictor machinery starts untrained, and hier — a fork
+// of a WarmStreamDonor, which window CPUs adopt without warming — is
+// the cache state.
+func newSampleState(cfg config.Config, st *trace.InstStream, hier *mem.Hierarchy) *sampleState {
+	ss := &sampleState{hier: hier}
 	if cfg.PerfectBranchPrediction {
 		ss.pred = branch.NewPerfect()
 	} else {
@@ -53,7 +79,7 @@ func newSampleState(cfg config.Config, st, warm *trace.InstStream, limit int64) 
 	if cfg.Commit == config.CommitAdaptive {
 		ss.conf = branch.NewConfidence(cfg.AdaptiveConfidenceBits, cfg.AdaptiveConfidenceMax)
 	}
-	return ss, nil
+	return ss
 }
 
 // settle clears the window-local residue the persistent substrate may
@@ -123,46 +149,43 @@ func (ss *sampleState) fastForward(cfg config.Config, st *trace.InstStream, n ui
 // keeping only the post-warmup portion in the statistics (two
 // snapshots of the same CPU, subtracted), then fast-forward the rest
 // of the period with functional warming only. warm is a second,
-// unconsumed stream over the same workload used for the one-time
-// whole-footprint cache warm (see newSampleState). opt.MaxInsts
-// bounds the total stream coverage and must be set for synthetic
-// workloads (their streams never end); program streams also stop when
-// the program halts. The returned Results carry detail-window
-// statistics only, plus the Sampled block with the per-window IPC
-// spread.
+// unconsumed stream over the same workload that warms the run's
+// private donor (see WarmStreamDonor); the run then proceeds exactly
+// as RunSampledForked over that donor. opt.MaxInsts bounds the total
+// stream coverage and must be set for synthetic workloads (their
+// streams never end); program streams also stop when the program
+// halts. The returned Results carry detail-window statistics only,
+// plus the Sampled block with the per-window IPC spread.
 func RunSampled(cfg config.Config, st, warm *trace.InstStream, sample trace.SampleSpec, opt RunOptions) (stats.Results, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkSampled(cfg, st, sample, opt); err != nil {
 		return stats.Results{}, err
-	}
-	if !sample.Enabled() {
-		return stats.Results{}, fmt.Errorf("core: RunSampled without a sample spec")
-	}
-	if err := sample.Validate(); err != nil {
-		return stats.Results{}, err
-	}
-	if opt.CollectOccupancy {
-		return stats.Results{}, fmt.Errorf("core: occupancy collection is per-cycle state and cannot be sampled")
-	}
-	budget := opt.MaxInsts
-	if budget == 0 && st.Code() == nil {
-		return stats.Results{}, fmt.Errorf("core: sampled synthetic workload %q needs an instruction budget (the stream is unbounded)", st.Name())
 	}
 	if warm == nil {
 		return stats.Results{}, fmt.Errorf("core: RunSampled needs a warm stream (a second stream over the same workload)")
 	}
-
-	// Programs warm until the stream ends, mirroring full detail
-	// warming the entire materialised trace regardless of the run
-	// budget; synthetic streams never end, so they warm what a
-	// materialised run of this budget would have warmed.
-	warmLimit := int64(0)
-	if st.Code() == nil {
-		warmLimit = int64(trace.LenFor(budget))
-	}
-	ss, err := newSampleState(cfg, st, warm, warmLimit)
+	donor, err := WarmStreamDonor(mem.WarmKeyFor(cfg), warm, SampledWarmLimit(st.Code() != nil, opt.MaxInsts))
 	if err != nil {
 		return stats.Results{}, err
 	}
+	return RunSampledForked(cfg, st, donor, sample, opt)
+}
+
+// RunSampledForked is RunSampled over a fork of donor instead of a
+// private warm: donor must come from WarmStreamDonor over the same
+// workload, a configuration with the same mem.WarmKey and
+// SampledWarmLimit(program, opt.MaxInsts). Results are then
+// bit-identical to RunSampled's. The donor is only read; one donor
+// serves any number of concurrent runs.
+func RunSampledForked(cfg config.Config, st *trace.InstStream, donor *mem.Hierarchy, sample trace.SampleSpec, opt RunOptions) (stats.Results, error) {
+	if err := checkSampled(cfg, st, sample, opt); err != nil {
+		return stats.Results{}, err
+	}
+	hier, err := donor.Fork(cfg)
+	if err != nil {
+		return stats.Results{}, err
+	}
+	ss := newSampleState(cfg, st, hier)
+	budget := opt.MaxInsts
 	arena := NewArena()
 	ff := sample.Period - sample.Warmup - sample.Detail
 
@@ -272,4 +295,24 @@ func RunSampled(cfg config.Config, st, warm *trace.InstStream, sample trace.Samp
 		total.Name = fmt.Sprintf("%s/%s", cfg.Commit, st.Name())
 	}
 	return total, nil
+}
+
+// checkSampled rejects what no sampled run can simulate.
+func checkSampled(cfg config.Config, st *trace.InstStream, sample trace.SampleSpec, opt RunOptions) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if !sample.Enabled() {
+		return fmt.Errorf("core: RunSampled without a sample spec")
+	}
+	if err := sample.Validate(); err != nil {
+		return err
+	}
+	if opt.CollectOccupancy {
+		return fmt.Errorf("core: occupancy collection is per-cycle state and cannot be sampled")
+	}
+	if opt.MaxInsts == 0 && st.Code() == nil {
+		return fmt.Errorf("core: sampled synthetic workload %q needs an instruction budget (the stream is unbounded)", st.Name())
+	}
+	return nil
 }

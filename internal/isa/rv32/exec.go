@@ -1,6 +1,9 @@
 package rv32
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Address-space layout shared by all programs. The text base is nonzero
 // so instruction PCs never collide with the isa.Inst convention that a
@@ -17,7 +20,16 @@ const (
 
 	pageBits = 12
 	pageSize = 1 << pageBits
+
+	// lowPages is the reach of the executor's flat page table: every
+	// page below 16 MiB, which holds the text, the stack and every
+	// shipped program's data (the largest, chase at its input cap,
+	// ends near 8.6 MiB). Higher addresses fall back to a sparse map.
+	lowPages = 0x1000000 >> pageBits
 )
+
+// page is one zero-initialised page of data memory.
+type page = [pageSize]byte
 
 // Segment is one initialised data region of a program image.
 type Segment struct {
@@ -38,15 +50,21 @@ type Program struct {
 	Init map[int]uint32
 }
 
-// Machine architecturally executes a Program: a register file, a sparse
-// paged data memory, and a program counter. It is the functional tier
-// of the two-tier frontend — it computes what the program does; the
-// pipeline decides how long it takes.
+// Machine architecturally executes a Program: a register file, a paged
+// data memory, and a program counter. It is the functional tier of the
+// two-tier frontend — it computes what the program does; the pipeline
+// decides how long it takes.
 type Machine struct {
-	prog   *Program
-	pc     uint32
-	regs   [32]uint32
-	pages  map[uint32][]byte
+	prog *Program
+	// code is prog.Text decoded once; an undecodable word is left as
+	// the zero Decoded (opInvalid) and faults only when executed.
+	code []Decoded
+	pc   uint32
+	regs [32]uint32
+	// low is the flat page table below lowPages; pages holds the rest.
+	// Both allocate pages on first touch.
+	low    [lowPages]*page
+	pages  map[uint32]*page
 	halted bool
 	steps  uint64
 }
@@ -69,7 +87,12 @@ func NewMachine(p *Program) (*Machine, error) {
 	if len(p.Text) == 0 {
 		return nil, fmt.Errorf("rv32: program %q has no text", p.Name)
 	}
-	m := &Machine{prog: p, pc: TextBase, pages: map[uint32][]byte{}}
+	m := &Machine{prog: p, pc: TextBase, code: make([]Decoded, len(p.Text))}
+	for i, w := range p.Text {
+		if d, err := Decode(w); err == nil {
+			m.code[i] = d
+		}
+	}
 	for r, v := range p.Init {
 		if r == 0 && v != 0 {
 			return nil, fmt.Errorf("rv32: program %q initialises x0 to %#x", p.Name, v)
@@ -102,11 +125,22 @@ func (m *Machine) Reg(r int) uint32 { return m.regs[r] }
 
 // page returns the backing page for addr, allocating zeroed pages on
 // first touch (program memory is zero-initialised).
-func (m *Machine) page(addr uint32) []byte {
+func (m *Machine) page(addr uint32) *page {
 	pn := addr >> pageBits
+	if pn < lowPages {
+		p := m.low[pn]
+		if p == nil {
+			p = new(page)
+			m.low[pn] = p
+		}
+		return p
+	}
 	p := m.pages[pn]
 	if p == nil {
-		p = make([]byte, pageSize)
+		if m.pages == nil {
+			m.pages = map[uint32]*page{}
+		}
+		p = new(page)
 		m.pages[pn] = p
 	}
 	return p
@@ -121,19 +155,23 @@ func (m *Machine) loadByte(addr uint32) byte {
 }
 
 // ReadWord reads a 32-bit little-endian word; tests use it to check a
-// program's architectural results.
+// program's architectural results. An aligned word never straddles a
+// page, so it takes one page lookup.
 func (m *Machine) ReadWord(addr uint32) uint32 {
+	if addr%4 == 0 {
+		o := addr & (pageSize - 1)
+		return binary.LittleEndian.Uint32(m.page(addr)[o : o+4])
+	}
 	return uint32(m.loadByte(addr)) |
 		uint32(m.loadByte(addr+1))<<8 |
 		uint32(m.loadByte(addr+2))<<16 |
 		uint32(m.loadByte(addr+3))<<24
 }
 
+// writeWord stores an aligned 32-bit little-endian word.
 func (m *Machine) writeWord(addr uint32, v uint32) {
-	m.storeByte(addr, byte(v))
-	m.storeByte(addr+1, byte(v>>8))
-	m.storeByte(addr+2, byte(v>>16))
-	m.storeByte(addr+3, byte(v>>24))
+	o := addr & (pageSize - 1)
+	binary.LittleEndian.PutUint32(m.page(addr)[o:o+4], v)
 }
 
 func (m *Machine) checkAccess(addr uint32, size uint32, pc uint32) error {
@@ -149,26 +187,37 @@ func (m *Machine) checkAccess(addr uint32, size uint32, pc uint32) error {
 // Step executes one instruction. Calling Step on a halted machine is an
 // error.
 func (m *Machine) Step() (Retired, error) {
+	var r Retired
+	if err := m.step(&r); err != nil {
+		return Retired{}, err
+	}
+	return r, nil
+}
+
+// step executes one instruction into *r (overwritten whole); on error
+// *r is unspecified and the machine is unchanged.
+func (m *Machine) step(r *Retired) error {
 	if m.halted {
-		return Retired{}, fmt.Errorf("rv32: %q: step after halt", m.prog.Name)
+		return fmt.Errorf("rv32: %q: step after halt", m.prog.Name)
 	}
 	pc := m.pc
 	idx := (pc - TextBase) / 4
-	if pc < TextBase || pc%4 != 0 || idx >= uint32(len(m.prog.Text)) {
-		return Retired{}, fmt.Errorf("rv32: %q: pc %#x outside text", m.prog.Name, pc)
+	if pc < TextBase || pc%4 != 0 || idx >= uint32(len(m.code)) {
+		return fmt.Errorf("rv32: %q: pc %#x outside text", m.prog.Name, pc)
 	}
-	d, err := Decode(m.prog.Text[idx])
-	if err != nil {
-		return Retired{}, fmt.Errorf("rv32: %q pc=%#x: %w", m.prog.Name, pc, err)
+	d := m.code[idx]
+	if d.Op == opInvalid {
+		// Decode never yields opInvalid for a word it accepts, so this
+		// word failed to decode: decode it again for its error.
+		_, err := Decode(m.prog.Text[idx])
+		return fmt.Errorf("rv32: %q pc=%#x: %w", m.prog.Name, pc, err)
 	}
-	r := Retired{PC: pc, D: d}
+	*r = Retired{PC: pc, D: d}
 	next := pc + 4
 	rs1, rs2 := m.regs[d.Rs1], m.regs[d.Rs2]
-	wr := func(v uint32) {
-		if d.Rd != 0 {
-			m.regs[d.Rd] = v
-		}
-	}
+	// wr writes rd; a write to x0 lands in regs[0], which is zeroed
+	// again before step returns, so every read sees x0 = 0.
+	wr := func(v uint32) { m.regs[d.Rd] = v }
 	switch d.Op {
 	case LUI:
 		wr(uint32(d.Imm))
@@ -213,7 +262,7 @@ func (m *Machine) Step() (Retired, error) {
 			size = 4
 		}
 		if err := m.checkAccess(addr, size, pc); err != nil {
-			return Retired{}, err
+			return err
 		}
 		r.Addr = addr
 		var v uint32
@@ -240,7 +289,7 @@ func (m *Machine) Step() (Retired, error) {
 			size = 4
 		}
 		if err := m.checkAccess(addr, size, pc); err != nil {
-			return Retired{}, err
+			return err
 		}
 		r.Addr = addr
 		switch d.Op {
@@ -332,13 +381,14 @@ func (m *Machine) Step() (Retired, error) {
 		r.Halt = true
 		m.halted = true
 	case ECALL:
-		return Retired{}, fmt.Errorf("rv32: %q pc=%#x: ecall is not supported", m.prog.Name, pc)
+		return fmt.Errorf("rv32: %q pc=%#x: ecall is not supported", m.prog.Name, pc)
 	default:
-		return Retired{}, fmt.Errorf("rv32: %q pc=%#x: unexecutable op %v", m.prog.Name, pc, d.Op)
+		return fmt.Errorf("rv32: %q pc=%#x: unexecutable op %v", m.prog.Name, pc, d.Op)
 	}
+	m.regs[0] = 0
 	m.pc = next
 	m.steps++
-	return r, nil
+	return nil
 }
 
 func boolVal(b bool) uint32 {

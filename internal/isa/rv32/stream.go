@@ -38,12 +38,13 @@ func (s *Streamer) Halted() bool { return s.m.halted }
 func (s *Streamer) Emit(dst []isa.Inst) ([]isa.Inst, error) {
 	const chunk = 4096
 	before := len(dst)
+	var r Retired
 	for len(dst)-before < chunk && !s.m.halted {
-		r, err := s.m.Step()
-		if err != nil {
+		if err := s.m.step(&r); err != nil {
 			return dst, err
 		}
-		if dst, err = s.appendMapped(dst, r); err != nil {
+		var err error
+		if dst, err = s.appendMapped(dst, &r); err != nil {
 			return dst, fmt.Errorf("rv32: %q: %w", s.name, err)
 		}
 	}

@@ -119,8 +119,8 @@ func mapText(p *Program) []isa.Inst {
 // appendMapped completes the micro-op skeleton of r's text word with
 // r's dynamic facts and appends it to out, after the link write of a
 // jump-and-link.
-func (s *Streamer) appendMapped(out []isa.Inst, r Retired) ([]isa.Inst, error) {
-	d := r.D
+func (s *Streamer) appendMapped(out []isa.Inst, r *Retired) ([]isa.Inst, error) {
+	d := &r.D
 	in := s.ops[(r.PC-TextBase)/4]
 	switch {
 	case d.Op == EBREAK:

@@ -355,9 +355,11 @@ func (s *Scheduler) runJob(b *Batch, i int, group string) {
 		if job.Sample.Enabled() {
 			// Sampled jobs stream: the recipe is handed through as a
 			// recipe-only trace handle (never materialised, so the
-			// streamed budget cap applies instead of MaxRecipeInsts) and
-			// no warm donor is built — the sampled run warms its own
-			// persistent substrate by fast-forwarding the stream.
+			// streamed budget cap applies instead of MaxRecipeInsts).
+			// No group donor is taken from the memo: each sampled point
+			// warms a private one by replaying the whole-footprint warm
+			// walk over a second stream (core.RunSampled), unlike
+			// sim.Sweep, which shares one per group.
 			var err error
 			if tr, err = trace.StreamOnly(job.Trace); err != nil {
 				return nil, err

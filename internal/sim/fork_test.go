@@ -49,10 +49,12 @@ func TestSweepForkedMatchesColdAllPolicies(t *testing.T) {
 	}
 }
 
-// TestGroupSpecsClustersByWarmShape: the sweep feed clusters specs by
+// TestGroupSpecsClustersByWarmShape: the sweep feed groups specs by
 // (trace, warm-relevant shape); timing-only differences share a group
-// and geometry differences split one, while results indices stay
-// untouched.
+// and geometry differences split one. The order puts every group's
+// first member first (leaders in first-appearance order, so each donor
+// starts warming at once), then clusters the followers group by group,
+// while results indices stay untouched.
 func TestGroupSpecsClustersByWarmShape(t *testing.T) {
 	n := trace.LenFor(1000)
 	trA, trB := trace.Stream(n), trace.Stencil(n)
@@ -78,7 +80,13 @@ func TestGroupSpecsClustersByWarmShape(t *testing.T) {
 	if groups[0] == groups[3] {
 		t.Error("different cache geometries must split warm groups")
 	}
-	want := []int{0, 2, 4, 1, 3} // groups in first appearance order, members in spec order
+	leaders := []int{0, 1, 3} // each group's first member, in first-appearance order
+	for k, i := range leaders {
+		if k >= len(order) || order[k] != i {
+			t.Fatalf("order %v: entry %d is not group %d's first member %d", order, k, k, i)
+		}
+	}
+	want := []int{0, 1, 3, 2, 4} // leaders, then followers group by group in spec order
 	if len(order) != len(want) {
 		t.Fatalf("order %v, want %v", order, want)
 	}

@@ -85,16 +85,19 @@ func Run(spec RunSpec) (stats.Results, error) {
 
 // RunForked executes one spec against a fork of donor's warmed cache
 // state instead of replaying the warm-up footprint (see core.WarmDonor
-// and core.NewForked). The donor is only read; it may serve concurrent
-// RunForked calls. Error handling matches Run.
+// and core.NewForked; a sampled spec's donor comes from
+// core.WarmStreamDonor, see core.RunSampledForked). The donor is only
+// read; it may serve concurrent RunForked calls. Error handling
+// matches Run.
 func RunForked(spec RunSpec, donor *mem.Hierarchy) (stats.Results, error) {
 	return runSpec(spec, func() (*mem.Hierarchy, error) { return donor, nil }, nil)
 }
 
 // runSpec is the worker body shared by the cold and forked paths: a nil
 // getDonor runs cold (build and warm a private hierarchy), otherwise
-// the CPU forks the donor's warmed cache state. arena, when non-nil, is
-// the calling worker's record arena (single-owner).
+// the CPU — or, for a sampled spec, the persistent substrate — forks
+// the donor's warmed cache state. arena, when non-nil, is the calling
+// worker's record arena (single-owner).
 func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.Arena) (res stats.Results, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -102,10 +105,7 @@ func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.
 		}
 	}()
 	if spec.Sample.Enabled() {
-		// Sampled points stream; they neither need nor use a warm donor
-		// (the persistent substrate is warmed by fast-forwarding the
-		// stream itself, not by a footprint replay).
-		res, err = runSampled(spec)
+		res, err = runSampled(spec, getDonor)
 		if err != nil {
 			err = fmt.Errorf("sim: %s (%s): %w", spec.Name, spec.Config.Summary(), err)
 		}
@@ -135,60 +135,104 @@ func runSpec(spec RunSpec, getDonor func() (*mem.Hierarchy, error), arena *core.
 // runSampled executes a sampled point: open the workload's segment
 // stream — from the recipe when the trace is a recipe-only handle (the
 // normal sampled path, which never materialises), or over the slice of
-// an already-materialised trace — and drive it through core.RunSampled.
-func runSampled(spec RunSpec) (stats.Results, error) {
+// an already-materialised trace — and drive it through
+// core.RunSampledForked over the group's donor, or, with a nil
+// getDonor, through core.RunSampled, which warms from a second stream.
+func runSampled(spec RunSpec, getDonor func() (*mem.Hierarchy, error)) (stats.Results, error) {
 	if err := spec.Sample.Validate(); err != nil {
 		return stats.Results{}, err
 	}
 	if spec.CollectOccupancy {
 		return stats.Results{}, fmt.Errorf("occupancy collection cannot be sampled")
 	}
-	if spec.Trace == nil {
-		return stats.Results{}, fmt.Errorf("no trace")
+	st, err := openStream(spec.Trace)
+	if err != nil {
+		return stats.Results{}, err
 	}
-	// Two independent streams over the same workload: one the sampling
-	// loop consumes, one the whole-footprint cache warm consumes (the
-	// sampled equivalent of warmHierarchy replaying the materialised
-	// trace's WarmFootprint).
-	var st, warm *trace.InstStream
-	if spec.Trace.Len() > 0 {
-		st = spec.Trace.OpenStream()
-		warm = spec.Trace.OpenStream()
-	} else if r, ok := spec.Trace.Recipe(); ok {
-		var err error
-		if st, err = r.OpenStream(); err != nil {
+	opt := core.RunOptions{MaxInsts: spec.Insts, DisableSkip: spec.DisableSkip}
+	if getDonor != nil {
+		donor, err := getDonor()
+		if err != nil {
 			return stats.Results{}, err
 		}
-		if warm, err = r.OpenStream(); err != nil {
-			return stats.Results{}, err
-		}
-	} else {
-		return stats.Results{}, fmt.Errorf("empty trace")
+		return core.RunSampledForked(spec.Config, st, donor, spec.Sample, opt)
 	}
-	return core.RunSampled(spec.Config, st, warm, spec.Sample, core.RunOptions{
-		MaxInsts:    spec.Insts,
-		DisableSkip: spec.DisableSkip,
-	})
+	warm, err := openStream(spec.Trace)
+	if err != nil {
+		return stats.Results{}, err
+	}
+	return core.RunSampled(spec.Config, st, warm, spec.Sample, opt)
+}
+
+// openStream opens a fresh segment stream over tr's workload: over the
+// slice of a materialised trace, or from the recipe of a recipe-only
+// handle.
+func openStream(tr *trace.Trace) (*trace.InstStream, error) {
+	if tr == nil {
+		return nil, fmt.Errorf("no trace")
+	}
+	if tr.Len() > 0 {
+		return tr.OpenStream(), nil
+	}
+	if r, ok := tr.Recipe(); ok {
+		return r.OpenStream()
+	}
+	return nil, fmt.Errorf("empty trace")
 }
 
 // groupKey identifies the specs that share one warmed donor
-// hierarchy: the same trace under the same warm-relevant cache shape.
+// hierarchy: the same trace under the same warm-relevant cache shape,
+// warmed the same way. Detailed donors replay the trace's
+// WarmFootprint; sampled donors walk the workload's stream up to
+// limit instructions (core.SampledWarmLimit), so sampled and detailed
+// specs over one trace never share a donor.
 type groupKey struct {
-	tr   *trace.Trace
-	warm mem.WarmKey
+	tr      *trace.Trace
+	warm    mem.WarmKey
+	sampled bool
+	limit   int64
 }
 
-// groupSpecs returns every spec's warm group and a group-clustered
-// execution order: members of one group run adjacently (groups in
-// first-appearance order, members in spec order), so the donor a worker
-// forks is the one most recently touched. Results are still reported by
-// spec index, so the reordering is invisible in the output.
+// warmDonor builds g's donor.
+func (g groupKey) warmDonor() (*mem.Hierarchy, error) {
+	if !g.sampled {
+		return core.WarmDonor(g.warm, g.tr)
+	}
+	warm, err := openStream(g.tr)
+	if err != nil {
+		return nil, err
+	}
+	return core.WarmStreamDonor(g.warm, warm, g.limit)
+}
+
+// groupOf returns spec's warm group.
+func groupOf(spec RunSpec) groupKey {
+	g := groupKey{tr: spec.Trace, warm: mem.WarmKeyFor(spec.Config)}
+	if spec.Sample.Enabled() {
+		g.sampled = true
+		program := false
+		if spec.Trace != nil {
+			r, ok := spec.Trace.Recipe()
+			program = spec.Trace.Code() != nil || ok && r.Kernel == trace.KernelProgram
+		}
+		g.limit = core.SampledWarmLimit(program, spec.Insts)
+	}
+	return g
+}
+
+// groupSpecs returns every spec's warm group and the execution order:
+// first every group's first member (groups in first-appearance order),
+// so each group's donor starts warming as early as possible and no
+// worker idles on a donor another worker is still building; then the
+// remaining members group by group, in spec order, so the donor a
+// worker forks is the one most recently touched. Results are still
+// reported by spec index, so the reordering is invisible in the output.
 func groupSpecs(specs []RunSpec) (groups []groupKey, order []int) {
 	first := make(map[groupKey]int)
 	groups = make([]groupKey, len(specs))
 	var members [][]int
 	for i, s := range specs {
-		g := groupKey{s.Trace, mem.WarmKeyFor(s.Config)}
+		g := groupOf(s)
 		gi, ok := first[g]
 		if !ok {
 			gi = len(members)
@@ -200,7 +244,10 @@ func groupSpecs(specs []RunSpec) (groups []groupKey, order []int) {
 	}
 	order = make([]int, 0, len(specs))
 	for _, m := range members {
-		order = append(order, m...)
+		order = append(order, m[0])
+	}
+	for _, m := range members {
+		order = append(order, m[1:]...)
 	}
 	return groups, order
 }
@@ -216,8 +263,12 @@ func groupSpecs(specs []RunSpec) (groups []groupKey, order []int) {
 // snapshot-fork kernel: each group warms one donor hierarchy via the
 // trace's warm-up footprint and every member forks the donor's cache
 // state, so a figure-9-style sweep replays each workload's warm-up once
-// per cache geometry instead of once per point. Execution order is
-// group-clustered for donor locality; results stay in spec order.
+// per cache geometry instead of once per point. Sampled specs group the
+// same way, further keyed by their warm limit: one whole-footprint walk
+// over the workload's stream per group (core.WarmStreamDonor), forked
+// by every member as its persistent substrate. Execution order is
+// leaders first, then group-clustered (see groupSpecs); results stay in
+// spec order.
 func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, error) {
 	if len(specs) == 0 {
 		return nil, ctx.Err()
@@ -269,7 +320,7 @@ func Sweep(ctx context.Context, specs []RunSpec, opt Options) ([]stats.Results, 
 				}
 				g := groups[i]
 				res, err := runSpec(specs[i], func() (*mem.Hierarchy, error) {
-					donor, _, err := donors.Do(g, func() (*mem.Hierarchy, error) { return core.WarmDonor(g.warm, g.tr) })
+					donor, _, err := donors.Do(g, g.warmDonor)
 					return donor, err
 				}, arena)
 				if err != nil {

@@ -23,7 +23,7 @@ import (
 // the same digests.
 type InstStream struct {
 	name string
-	code StaticCode
+	code *rv32.Image
 	src  streamSource // nil once exhausted
 	buf  []isa.Inst
 	off  int   // consumed prefix of buf
@@ -43,7 +43,7 @@ type streamSource interface {
 func (s *InstStream) Name() string { return s.name }
 
 // Code returns the static code image for program streams, nil otherwise.
-func (s *InstStream) Code() StaticCode { return s.code }
+func (s *InstStream) Code() *rv32.Image { return s.code }
 
 // Pos returns the absolute stream position of the cursor: the number of
 // instructions consumed by Skip so far.
@@ -123,7 +123,7 @@ func (r Recipe) OpenStream() (*InstStream, error) {
 
 // source opens the recipe's instruction producer, plus the static code
 // image for programs. It does not validate r.
-func (r Recipe) source() (streamSource, StaticCode, error) {
+func (r Recipe) source() (streamSource, *rv32.Image, error) {
 	if r.Kernel != KernelProgram {
 		round, err := synthRound(r)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/isa/programs"
+	"repro/internal/isa/rv32"
 )
 
 // streamTestRecipes is the equivalence corpus: every synthetic kernel
@@ -128,7 +129,7 @@ func hashWarm(h hash.Hash, ev WarmEvent) {
 }
 
 // codeDigest hashes a static code image ("" for none).
-func codeDigest(code StaticCode) string {
+func codeDigest(code *rv32.Image) string {
 	if code == nil {
 		return ""
 	}

@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"repro/internal/isa"
+	"repro/internal/isa/rv32"
 )
 
 // Trace is an immutable dynamic instruction stream.
@@ -39,7 +40,7 @@ type Trace struct {
 
 	// code is the static program image of a program-backed trace
 	// (KernelProgram recipes); nil for synthetic kernels. See Code.
-	code StaticCode
+	code *rv32.Image
 
 	// warmOnce/warmEvents lazily cache the cache warm-up footprint
 	// (see WarmFootprint). Shared read-only across concurrent CPUs.
@@ -47,23 +48,12 @@ type Trace struct {
 	warmEvents []WarmEvent
 }
 
-// StaticCode is the static-code view of a program-backed trace: the
-// program's text mapped instruction by instruction onto pipeline
-// operation classes. The core's wrong-path model fetches from it past
-// an unresolved mispredicted branch, so wrong paths run the real
+// Code returns the static program image of a program-backed trace, or
+// nil for synthetic traces. The core's wrong-path model fetches from it
+// past an unresolved mispredicted branch, so wrong paths run the real
 // instructions at the mispredicted target instead of a synthetic mix.
-// Implementations are immutable and shared read-only across CPUs.
-type StaticCode interface {
-	// Len returns the number of static instructions.
-	Len() int
-	// IndexOf returns the static index of pc, if it lies in the text.
-	IndexOf(pc uint64) (int, bool)
-	// At returns the static instruction at index i.
-	At(i int) isa.Inst
-}
-
-// Code returns the static program image, or nil for synthetic traces.
-func (t *Trace) Code() StaticCode { return t.code }
+// The image is immutable and shared read-only across CPUs.
+func (t *Trace) Code() *rv32.Image { return t.code }
 
 // Name returns the workload name.
 func (t *Trace) Name() string { return t.name }
